@@ -5,6 +5,12 @@ Commands run in this process through analogdist.cli.main, with the
 argument lists a user would type. With tracing on, each untraced round is
 followed by a traced one, so the per-layer figures and the tracing overhead
 come from the same process and seed.
+
+The first round is a warm-up: it is checked but not timed, and the peak
+memory is read after it. Each later round is scaled to the host's speed:
+the reference computation in reference.py runs before and after it, and
+`wall_ref_s` is NOMINAL_S times the median of round time over the mean of
+those two reference times. Set-up time is reported as measured.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from time import perf_counter
 from analogdist import cli
 
 import checks
+from reference import NOMINAL_S, reference_seconds
 from tracer import PER_LAYER, Tracer
 from workloads import WORKLOADS
 
@@ -116,25 +123,29 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir: Pat
             build_inputs(workload, inputs, seed, sizes)
             setup.append(perf_counter() - start)
 
-    plain, traced = [], []
+    plain, traced, refs = [], [], []
     start = perf_counter()
-    while not plain or perf_counter() - start < seconds:
+    while len(plain) < 2 or perf_counter() - start < seconds:
+        if plain:
+            refs.append(reference_seconds())
         plain.append(run_round(workload, workdir / f"round-{len(plain) + len(traced)}", inputs, seed, sizes))
         if len(plain) == 1:  # later rounds only let the allocator grow
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            reference_seconds()  # untimed: its first run is slower
         if trace:
             tracer.install()
             try:
                 traced.append(run_round(workload, workdir / f"round-{len(plain) + len(traced)}", inputs, seed, sizes))
             finally:
                 tracer.uninstall()
+    refs.append(reference_seconds())
 
     rounds = plain + traced
     failed = sum(len(r["failed"]) for r in rounds)
-    reference = rounds[0]["hashes"]
+    first_hashes = rounds[0]["hashes"]
     for r in rounds[1:]:
         for label, outputs in r["hashes"].items():
-            if reference.get(label) != outputs:
+            if first_hashes.get(label) != outputs:
                 failed += 1
                 print(f"FAILED {label}: output hashes differ between rounds of one seed", file=sys.stderr)
     attempted = sum(len(r["times"]) for r in rounds)
@@ -145,19 +156,27 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir: Pat
     def wall(group):
         return statistics.median(sum(r["times"].values()) for r in group)
 
-    commands = {label: median_of(label, plain) for label in plain[0]["times"]}
+    timed = plain[1:]
+    scaled = [sum(r["times"].values()) / (0.5 * (a + b)) for r, a, b in zip(timed, refs, refs[1:])]
+    host = {
+        "reference_s": statistics.median(refs),
+        "wall_s": wall(timed),
+    }
+    commands = {label: median_of(label, timed) for label in timed[0]["times"]}
     if trace:
         metrics = tracer.metrics([s for r in traced for s in r["spans"]], len(traced))
-        metrics["trace.overhead_s"] = wall(traced) - wall(plain)
-        metrics.update({f"{label}_s": median_of(label, plain) for label in COMMAND_METRICS})
+        metrics["trace.overhead_s"] = wall(traced) - host["wall_s"]
+        metrics.update({f"{label}_s": median_of(label, timed) for label in COMMAND_METRICS})
+        metrics.update({"round.wall_s": host["wall_s"], "host.reference_s": host["reference_s"]})
         units = {name: unit for name, unit, _ in PER_LAYER} | {f"{label}_s": "s" for label in COMMAND_METRICS}
+        units.update({"round.wall_s": "s", "host.reference_s": "s"})
     else:
         metrics = {
             "setup_s": statistics.median(setup),
-            "wall_s": wall(plain),
+            "wall_ref_s": NOMINAL_S * statistics.median(scaled),
             "peak_rss_mb": peak_rss_mb,
         }
-        units = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB"}
+        units = {"setup_s": "s", "wall_ref_s": "s", "peak_rss_mb": "MB"}
     return {
         "correct": failed == 0,
         "attempted": attempted,
@@ -165,4 +184,5 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool, workdir: Pat
         "metrics": {key: {"value": value, "unit": units[key]} for key, value in metrics.items()},
         "rounds": {"untraced": len(plain), "traced": len(traced)},
         "commands_s": commands,
+        "host": host,
     }

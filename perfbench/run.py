@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Benchmark of the analogdist commands.
 
-    python3 perfbench/run.py --workload l63 --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload l63 --seed 1 --seconds 30 --trace 0
 
 Run from the root of a checkout. It runs one workload (l63, wind or
 mixture) at one seed in this process, repeating whole rounds of its
 commands for at least --seconds, and checks every output. The last line of
 standard output is one JSON object: correct, attempted, failed and the
 metrics (end-to-end with --trace 0, per-layer with --trace 1). The line
-before it records the seed, commit, CPU count, thread settings and library
-versions. Scratch files go under .perfbench/ and are removed at the end.
+before it records the seed, the unscaled round and reference times, commit,
+CPU count, thread settings and library versions. Scratch files go under .perfbench/ and are removed at the end.
 """
 
 from __future__ import annotations
@@ -96,6 +96,7 @@ def main(argv=None) -> int:
         "trace": args.trace,
         "rounds": result.pop("rounds"),
         "commands_s": result.pop("commands_s"),
+        "host": result.pop("host"),
         "environment": environment(threads),
     }
     print(json.dumps(info))

@@ -146,19 +146,23 @@ def wind_ops(rdir: Path, inputs: Path, seed: int, z: dict) -> list[Op]:
 # seed-derived EM seed spread the total iterations by 20% between seeds, a
 # fixed one by under 1%), and a run's time should not depend on its seed.
 EM_SEED = 0
+# Far enough apart that k-means++ rarely seeds two centres in one blob: at 12
+# such seedings made the planted-count fit take 3-4 times its usual
+# iterations on some seeds.
+BLOB_SEPARATION = 20.0
 
 
 def planted_blobs(seed: int, n: int, dim: int, count: int) -> np.ndarray:
     """`count` equally large isotropic Gaussian blobs, spreads 0.6 to 1.4,
-    whose centres sit 12 apart on randomly rotated orthogonal axes; rows are
-    grouped by blob.
+    whose centres sit BLOB_SEPARATION apart on randomly rotated orthogonal
+    axes; rows are grouped by blob.
 
     Isotropic blobs stay diagonal under the EOF rotation the cluster command
-    applies. Only the rotation and the draws depend on the seed, so EM does
-    about the same work at every seed."""
+    applies. Only the rotation and the draws depend on the seed; EM's work
+    on them still varies by about a tenth between seeds (see README.md)."""
     rng = np.random.default_rng(seed)
     axes, _ = np.linalg.qr(rng.normal(size=(dim, count)))
-    centres = 12.0 / np.sqrt(2.0) * axes.T
+    centres = BLOB_SEPARATION / np.sqrt(2.0) * axes.T
     spread = np.linspace(0.6, 1.4, count)
     labels = np.arange(n) * count // n
     return centres[labels] + spread[labels, None] * rng.normal(size=(n, dim))
@@ -197,9 +201,9 @@ def _no_setup(inputs: Path, seed: int, z: dict) -> list[tuple[str, ...]]:
 # handle (see CHANGES.md), so it shortens the window.
 WORKLOADS = {
     "l63": Workload(
-        full=dict(n=100_000, burn_in=10_000, stride=5, mc_sizes="10000,50000", n_catalogs=150, k_dim=150,
-                  k_markers="1,15,30", resc_targets=4000, dim_targets=6000, smooth_days=80, l_eff=4000,
-                  dmax_targets=500),
+        full=dict(n=20_000, burn_in=2000, stride=5, mc_sizes="2000,5000", n_catalogs=40, k_dim=150,
+                  k_markers="1,15,30", resc_targets=600, dim_targets=1000, smooth_days=80, l_eff=800,
+                  dmax_targets=100),
         tiny=dict(n=20_000, burn_in=1000, stride=5, mc_sizes="2000,5000", n_catalogs=4, k_dim=40,
                   k_markers="1,15,30", resc_targets=200, dim_targets=300, smooth_days=10, l_eff=800,
                   dmax_targets=20),
@@ -207,16 +211,16 @@ WORKLOADS = {
         ops=l63_ops,
     ),
     "wind": Workload(
-        full=dict(n=30_000, modes=13, grid=64, dim_targets=170, smooth_days=80, resc_targets=60,
-                  eof_counts="4,16,32", l_eff=1250, dmax_targets=100),
+        full=dict(n=10_000, modes=13, grid=64, dim_targets=170, smooth_days=80, resc_targets=60,
+                  eof_counts="4,16,32", l_eff=1250, dmax_targets=50),
         tiny=dict(n=4000, modes=5, grid=16, dim_targets=40, smooth_days=2, resc_targets=20,
                   eof_counts="2,24", l_eff=125, dmax_targets=10),
         setup=_no_setup,
         ops=wind_ops,
     ),
     "mixture": Workload(
-        full=dict(surr_n=9000, modes=13, grid=64, n_eof=12, full_candidates="1,2,3,4", full_seeds=3,
-                  blob_n=24_000, blob_dim=8, blob_count=4, diag_candidates="2,3,4,5", diag_seeds=6),
+        full=dict(surr_n=2500, modes=13, grid=64, n_eof=12, full_candidates="1,2,3,4", full_seeds=3,
+                  blob_n=3000, blob_dim=8, blob_count=4, diag_candidates="2,3,4,5", diag_seeds=6),
         tiny=dict(surr_n=600, modes=3, grid=16, n_eof=4, full_candidates="1,2", full_seeds=2,
                   blob_n=600, blob_dim=4, blob_count=3, diag_candidates="2,3,4", diag_seeds=2),
         setup=mixture_setup,
