@@ -122,6 +122,9 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     half = max(1, int(math.ceil(4.0 * sigma)))
     x = np.arange(-half, half + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
-    num = np.convolve(values, kernel, mode="same")
-    den = np.convolve(np.ones_like(values), kernel, mode="same")
+    # The centred slice of the full convolution; mode="same" would return
+    # max(len(values), len(kernel)) samples.
+    span = slice(half, half + len(values))
+    num = np.convolve(values, kernel, mode="full")[span]
+    den = np.convolve(np.ones_like(values), kernel, mode="full")[span]
     return num / den

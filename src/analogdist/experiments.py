@@ -7,7 +7,8 @@ Drivers are deterministic functions of their arguments, so re-running from
 a manifest reproduces every artifact bit for bit. Monte Carlo work is
 spread over a thread pool (numpy and the k-d tree release the GIL) but
 merged in catalog-index order, keeping results independent of the worker
-count; ANALOG_DIST_THREADS caps the pool.
+count; ANALOG_DIST_THREADS sets the pool size, at most MAX_WORKERS. The
+cluster command fits its candidate x seed grid on the same pool size.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ __all__ = [
 ]
 
 CSV_SCHEMA = "analogdist-csv/v1"
+# Ceiling on ANALOG_DIST_THREADS: the pools run numpy work on a few cores,
+# and an unbounded value would ask the OS for that many threads.
+MAX_WORKERS = 64
 _DENSITY_GRID = 512
 
 
@@ -82,13 +86,14 @@ class ExperimentResult:
 
 
 def worker_count() -> int:
-    """Thread-pool size: ANALOG_DIST_THREADS if set, else cpu count capped at 8."""
+    """Thread-pool size: ANALOG_DIST_THREADS if set, else cpu count capped at
+    8. A set value above MAX_WORKERS is cut to MAX_WORKERS."""
     env = os.environ.get("ANALOG_DIST_THREADS")
     if env is not None:
         n = int(env)
         if n < 1:
             raise ValueError("ANALOG_DIST_THREADS must be >= 1")
-        return n
+        return min(n, MAX_WORKERS)
     return min(8, os.cpu_count() or 1)
 
 
@@ -913,6 +918,7 @@ def run_cluster(
         seeds_per_candidate=int(seeds_per_candidate),
         base_seed=int(seed),
         covariance=str(covariance),
+        workers=worker_count(),
     )
     labels = assign_spatial_clusters(selection.best_model, features)
     counts = np.bincount(labels, minlength=selection.best_n)

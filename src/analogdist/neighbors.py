@@ -13,7 +13,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .catalog import Catalog, ExclusionPolicy, apply_exclusion
-from .errors import DimensionMismatchError, NotEnoughAnalogsError
+from .errors import DimensionMismatchError, NonFiniteError, NotEnoughAnalogsError
 
 __all__ = [
     "AnalogSet",
@@ -72,7 +72,8 @@ class NeighborIndex:
 
     backend: "auto" picks a k-d tree for D <= 20 on catalogs large enough to
     amortize the build, otherwise the exhaustive scan. Both produce identical
-    output. The index is read-only after construction.
+    output. The index is read-only after construction. Both backends raise
+    NonFiniteError for a catalog or target holding NaN or infinity.
     """
 
     def __init__(self, catalog: Catalog, backend: str = "auto"):
@@ -88,6 +89,12 @@ class NeighborIndex:
             raise ValueError(
                 f"kdtree backend supports D <= {KDTREE_MAX_DIM}, got D={catalog.dim}"
             )
+        finite = np.isfinite(catalog.states)
+        if not finite.all():
+            bad = ~finite.all(axis=1)
+            raise NonFiniteError(
+                f"catalog has {int(bad.sum())} non-finite rows, first at row {int(np.argmax(bad))}"
+            )
         self.catalog = catalog
         self.backend = backend
         self._tree = cKDTree(catalog.states) if backend == "kdtree" else None
@@ -98,6 +105,8 @@ class NeighborIndex:
             raise DimensionMismatchError(
                 f"target has dimension {z.shape[0]}, catalog has {self.catalog.dim}"
             )
+        if not np.isfinite(z).all():
+            raise NonFiniteError("target holds non-finite values")
         return z
 
     def _exact_distances(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:

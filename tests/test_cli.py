@@ -10,9 +10,11 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from analogdist import __version__, experiments
+from analogdist.catalog import Catalog, save_catalog
 from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
 
@@ -102,6 +104,32 @@ class TestExitCodes:
         code = main(["cluster", "--catalog", "x.anacat", "--out", str(tmp_path)])
         assert code == 3
         assert "collapsed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [3, 24])
+    def test_non_finite_catalog_exits_3(self, tmp_path, capsys, dim):
+        # D=3 searches with the k-d tree, D=24 with the exhaustive scan.
+        states = np.random.default_rng(dim).normal(size=(400, dim))
+        states[250, 1] = np.nan
+        path = tmp_path / "bad.anacat"
+        save_catalog(Catalog(states, np.arange(400)), path)
+        code = main(
+            ["fit-target", "--catalog", str(path), "--target-index", "10",
+             "--out", str(tmp_path / "fit")]
+        )
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_dim_stats_with_fewer_days_than_the_smoothing_window(self, tmp_path, capsys):
+        # 60 targets fall on 60 days; the default 80-day window spans 161.
+        catalog = tmp_path / "sur.anacat"
+        experiments.run_gen_surrogate(catalog, modes=2, grid=8, n=3000, seed=4)
+        code = main(
+            ["dim-stats", "--catalog", str(catalog), "--n-targets", "60", "--K", "10",
+             "--out", str(tmp_path / "ds")]
+        )
+        assert code == 0, capsys.readouterr().err
+        daily = (tmp_path / "ds" / "daily.csv").read_text().splitlines()
+        assert len(daily) == 2 + 60
 
     def test_missing_catalog_exits_4(self, tmp_path, capsys):
         code = main(

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import linalg
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -233,3 +234,160 @@ def test_select_validation(two_blobs):
         select_n_clusters(two_blobs, ())
     with pytest.raises(ValueError):
         select_n_clusters(two_blobs, (2,), seeds_per_candidate=0)
+
+
+# ---------------------------------------------------------------------------
+# batched EM kernels against per-component references
+
+
+def reference_log_gaussians(x, means, covs, cov_type):
+    """(M, n) log densities, one component at a time: scipy's Cholesky and
+    triangular solve for full covariances, the explicit (x - mu) / sigma
+    loop for diagonal ones."""
+    d = x.shape[1]
+    out = np.empty((len(x), len(means)))
+    for c in range(len(means)):
+        if cov_type == "diag":
+            z = (x - means[c]) / np.sqrt(covs[c])
+            maha, logdet = np.sum(z * z, axis=1), np.sum(np.log(covs[c]))
+        else:
+            chol = linalg.cholesky(covs[c], lower=True)
+            y = linalg.solve_triangular(chol, (x - means[c]).T, lower=True)
+            maha, logdet = np.sum(y * y, axis=0), 2.0 * np.sum(np.log(np.diag(chol)))
+        out[:, c] = -0.5 * (d * math.log(2.0 * math.pi) + logdet + maha)
+    return out
+
+
+def random_components(rng, n, d, cov_type, scale=1.0):
+    means = rng.normal(scale=3.0, size=(n, d))
+    if cov_type == "diag":
+        return means, scale * rng.uniform(0.05, 4.0, size=(n, d))
+    a = rng.normal(size=(n, d, d))
+    return means, scale * (a @ np.swapaxes(a, 1, 2) / d + 0.1 * np.eye(d))
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+@pytest.mark.parametrize("m,d,n", [(500, 3, 4), (300, 12, 6), (7, 1, 2)])
+def test_batched_log_densities_match_per_component_reference(cov_type, m, d, n):
+    rng = np.random.default_rng(m + d + n)
+    means, covs = random_components(rng, n, d, cov_type)
+    x = 3.0 * rng.normal(size=(m, d))
+    expected = reference_log_gaussians(x, means, covs, cov_type)
+    got = clustering._log_gaussians(np.ascontiguousarray(x.T), means, covs, cov_type)
+    assert got.shape == (n, m)
+    assert_allclose(got.T, expected, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+def test_log_densities_far_from_the_origin(cov_type):
+    # At 1e3 from the origin with variances down to 5e-4, the expanded
+    # quadratic form x'Px - 2mu'Px + mu'Pmu carries terms near 2e9 and
+    # loses about 1e-7 to cancellation; the difference form does not.
+    rng = np.random.default_rng(12)
+    means, covs = random_components(rng, 4, 6, cov_type, scale=1e-2)
+    x = 3.0 * rng.normal(size=(400, 6))
+    expected = reference_log_gaussians(x, means, covs, cov_type)
+    offset = 1e3
+    got = clustering._log_gaussians(np.ascontiguousarray((x + offset).T), means + offset, covs, cov_type)
+    assert_allclose(got.T, expected, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+def test_row_blocks_do_not_change_log_densities(monkeypatch, cov_type):
+    rng = np.random.default_rng(4)
+    means, covs = random_components(rng, 3, 5, cov_type)
+    xt = rng.normal(size=(5, 401))
+    whole = clustering._log_gaussians(xt, means, covs, cov_type)
+    monkeypatch.setattr(clustering, "_BLOCK_ELEMS", 3 * 5 * 17)
+    assert_array_equal(clustering._log_gaussians(xt, means, covs, cov_type), whole)
+
+
+def test_posterior_matches_scipy_logsumexp():
+    rng = np.random.default_rng(8)
+    rows = np.concatenate(
+        [
+            rng.normal(size=(200, 5)),
+            rng.uniform(-1500.0, 1500.0, size=(200, 5)),
+            rng.normal(loc=-800.0, scale=1.0, size=(50, 5)),
+            np.array([[0.0, -np.inf, 3.0, -np.inf, -1.0]]),
+        ]
+    )
+    log_norm, resp = clustering._posterior(np.ascontiguousarray(rows.T))
+    expected = logsumexp(rows, axis=1)
+    assert_allclose(log_norm, expected, rtol=1e-14, atol=0)
+    assert_allclose(resp.T, np.exp(rows - expected[:, None]), rtol=1e-12, atol=1e-300)
+    assert_allclose(resp.sum(axis=0), 1.0, rtol=1e-14)
+
+
+def test_posterior_of_all_minus_inf_column_is_minus_inf():
+    with np.errstate(invalid="ignore"):
+        log_norm, _ = clustering._posterior(np.full((3, 2), -np.inf))
+    assert np.all(np.isneginf(log_norm))
+
+
+def test_one_singular_full_covariance_collapses_whole_batch():
+    rng = np.random.default_rng(5)
+    means, covs = random_components(rng, 3, 2, "full")
+    covs[1] = [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(clustering._Collapse):
+        clustering._log_gaussians(rng.normal(size=(2, 20)), means, covs, "full")
+    diag_means, diag_covs = random_components(rng, 3, 2, "diag")
+    diag_covs[2, 0] = 0.0
+    with pytest.raises(clustering._Collapse):
+        clustering._log_gaussians(rng.normal(size=(2, 20)), diag_means, diag_covs, "diag")
+
+
+def test_fit_with_one_singular_component_takes_regularized_retry(monkeypatch):
+    # Two round blobs and one set of points lying exactly on a line: the
+    # component that takes the line has a singular covariance, the others not.
+    rng = np.random.default_rng(6)
+    line = np.column_stack([rng.normal(size=60), np.full(60, 40.0)])
+    x = np.concatenate([blobs([(-10.0, 0.0), (10.0, 0.0)], 80, 1.0, seed=6), line])
+    regs = []
+    em = clustering._em
+
+    def recording_em(*args, reg, **kwargs):
+        regs.append(reg)
+        return em(*args, reg=reg, **kwargs)
+
+    monkeypatch.setattr(clustering, "_em", recording_em)
+    with pytest.raises(clustering._Collapse):
+        em(x, 3, 0, "full", 500, 1e-6, reg=0.0)
+    model = gmm_fit(x, 3, seed=0)
+    assert regs[0] == 0.0 and len(regs) == 2 and regs[1] > 0.0
+    on_line = np.argmin(np.abs(model.means[:, 1] - 40.0))
+    assert model.covariances[on_line, 1, 1] == pytest.approx(regs[1], rel=1e-6)
+    assert np.all(np.linalg.eigvalsh(model.covariances) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# selection on the worker pool
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+def test_selection_does_not_depend_on_worker_count(cov_type):
+    data = blobs([(-6.0, 0.0, 1.0), (6.0, 0.0, 0.0), (0.0, 7.0, -2.0)], 120, 1.0, seed=21)
+    kwargs = dict(seeds_per_candidate=3, base_seed=4, covariance=cov_type)
+    serial = select_n_clusters(data, (1, 2, 3, 4), workers=1, **kwargs)
+    pooled = select_n_clusters(data, (1, 2, 3, 4), workers=2, **kwargs)
+    assert pooled.bic_curve == serial.bic_curve
+    assert pooled.best_n == serial.best_n
+    assert pooled.best_model.to_json() == serial.best_model.to_json()
+
+
+def test_skipped_candidates_warn_in_candidate_order(monkeypatch):
+    gmm = clustering.gmm_fit
+
+    def collapse_above_two(x, n, **kwargs):
+        if n > 2:
+            raise CovarianceCollapseError("collapsed")
+        return gmm(x, n, **kwargs)
+
+    monkeypatch.setattr(clustering, "gmm_fit", collapse_above_two)
+    data = blobs([(-8.0, 0.0), (8.0, 0.0)], 60, 1.0, seed=2)
+    with pytest.warns(UserWarning) as record:
+        result = select_n_clusters(data, (5, 1, 4, 2, 3), seeds_per_candidate=2, workers=2)
+    assert [str(w.message) for w in record] == [
+        f"all fits failed for n_components={n}; candidate skipped" for n in (3, 4, 5)
+    ]
+    assert [n for n, _ in result.bic_curve] == [1, 2]

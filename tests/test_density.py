@@ -204,6 +204,27 @@ def test_smooth_impulse_is_symmetric_bump():
     assert_allclose(out[:20], out[21:][::-1], rtol=1e-12)
 
 
+def test_smooth_of_series_shorter_than_kernel_keeps_its_length():
+    # sigma 20 spans 161 samples, far more than the 12 given.
+    values = np.random.default_rng(3).normal(size=12)
+    out = gaussian_smooth(values, sigma=20.0)
+    assert out.shape == values.shape
+    lags = np.arange(12)[:, None] - np.arange(12)[None, :]
+    weights = np.exp(-0.5 * (lags / 20.0) ** 2)
+    assert_allclose(out, weights @ values / weights.sum(axis=1), rtol=1e-12)
+
+
+def test_smooth_of_long_series_equals_same_mode_convolution():
+    values = np.random.default_rng(4).normal(size=300)
+    sigma = 5.5
+    half = int(math.ceil(4.0 * sigma))
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) / sigma) ** 2)
+    expected = np.convolve(values, kernel, mode="same") / np.convolve(
+        np.ones_like(values), kernel, mode="same"
+    )
+    assert gaussian_smooth(values, sigma).tobytes() == expected.tobytes()
+
+
 def test_smooth_validation():
     with pytest.raises(ValueError):
         gaussian_smooth([1.0, 2.0], sigma=0.0)

@@ -99,6 +99,36 @@ class TestWorkerCount:
         monkeypatch.delenv("ANALOG_DIST_THREADS", raising=False)
         assert worker_count() == min(8, os.cpu_count() or 1)
 
+    def test_env_value_is_capped(self, monkeypatch):
+        # Only the pure function runs: no pool of this size is started.
+        monkeypatch.setenv("ANALOG_DIST_THREADS", "100000")
+        assert worker_count() == experiments.MAX_WORKERS == 64
+        monkeypatch.setenv("ANALOG_DIST_THREADS", str(experiments.MAX_WORKERS))
+        assert worker_count() == experiments.MAX_WORKERS
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda out, l63, sur: experiments.run_cluster(
+            out, sur, n_eof=3, candidates=(1, 2, 3), seeds_per_candidate=3, covariance="full"
+        ),
+        lambda out, l63, sur: experiments.run_cluster(
+            out, sur, n_eof=4, candidates=(2, 3, 4), seeds_per_candidate=3, covariance="diag", seed=5
+        ),
+        lambda out, l63, sur: experiments.run_mc_distances(out, l63, **MC_KWARGS),
+    ],
+    ids=["cluster-full", "cluster-diag", "mc-distances"],
+)
+def test_outputs_do_not_depend_on_worker_count(run, small_l63, small_surrogate, tmp_path, monkeypatch):
+    hashes = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("ANALOG_DIST_THREADS", threads)
+        result = run(tmp_path / threads, small_l63, small_surrogate)
+        hashes.append({p.name: file_sha256(p) for p in result.outputs})
+    assert hashes[0] == hashes[1]
+    assert len(hashes[0]) >= 4
+
 
 class TestGenerators:
     def test_gen_l63_catalog_and_sidecar_manifest(self, small_l63):

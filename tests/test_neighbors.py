@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from analogdist.catalog import Catalog, ExclusionPolicy
-from analogdist.errors import DimensionMismatchError, NotEnoughAnalogsError
-from analogdist.neighbors import AnalogSet, NeighborIndex, euclidean, knn, knn_radius
+from analogdist.errors import DimensionMismatchError, NonFiniteError, NotEnoughAnalogsError
+from analogdist.neighbors import (
+    KDTREE_MAX_DIM,
+    AnalogSet,
+    NeighborIndex,
+    euclidean,
+    knn,
+    knn_radius,
+)
 
 
 def _brute_force(states, z, k):
@@ -201,6 +208,42 @@ def test_dimension_mismatch_raises():
     c = Catalog(np.zeros((4, 3)))
     with pytest.raises(DimensionMismatchError):
         knn(c, [0.0, 0.0], 1)
+
+
+# Both explicit backends, and "auto" on each side of the k-d tree limit.
+_NON_FINITE_CASES = [
+    ("kdtree", 3),
+    ("exhaustive", 3),
+    ("auto", KDTREE_MAX_DIM),
+    ("auto", KDTREE_MAX_DIM + 1),
+]
+
+
+@pytest.mark.parametrize("backend,dim", _NON_FINITE_CASES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_catalog_row_is_rejected(backend, dim, bad):
+    states = np.random.default_rng(dim).normal(size=(300, dim))
+    states[123, dim - 1] = bad
+    with pytest.raises(NonFiniteError, match="row 123"):
+        NeighborIndex(Catalog(states), backend=backend)
+
+
+@pytest.mark.parametrize("backend,dim", _NON_FINITE_CASES)
+def test_non_finite_target_is_rejected(backend, dim):
+    states = np.random.default_rng(dim).normal(size=(300, dim))
+    index = NeighborIndex(Catalog(states), backend=backend)
+    target = states[0].copy()
+    target[0] = np.nan
+    with pytest.raises(NonFiniteError):
+        index.query(target, 3)
+    with pytest.raises(NonFiniteError):
+        index.query_radius(target, 1.0)
+
+
+def test_auto_backend_sides_of_the_tree_limit():
+    rng = np.random.default_rng(0)
+    assert NeighborIndex(Catalog(rng.normal(size=(300, KDTREE_MAX_DIM)))).backend == "kdtree"
+    assert NeighborIndex(Catalog(rng.normal(size=(300, KDTREE_MAX_DIM + 1)))).backend == "exhaustive"
 
 
 def test_invalid_backend_and_k():
