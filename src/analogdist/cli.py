@@ -30,12 +30,20 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _int_list(text: str) -> list[int]:
-    """Comma-separated integers; scientific notation like 1e5 is accepted."""
+def _int(text: str) -> int:
+    """One integer; scientific notation like 1e5 is accepted when integral."""
     try:
-        return [int(float(tok)) for tok in text.split(",") if tok.strip()]
+        value = float(text)
+        if value.is_integer():
+            return int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers, each parsed as by _int."""
+    return [_int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _float_list(text: str) -> list[float]:
@@ -52,136 +60,8 @@ def _emit(result: experiments.ExperimentResult) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_l63(args) -> int:
-    return _emit(
-        experiments.run_gen_l63(
-            args.out, n=args.n, dt=args.dt, burn_in=args.burn_in, stride=args.stride, seed=args.seed
-        )
-    )
-
-
-def _cmd_gen_surrogate(args) -> int:
-    return _emit(
-        experiments.run_gen_surrogate(
-            args.out,
-            modes=args.modes,
-            grid=args.grid,
-            n=args.n,
-            noise=args.noise,
-            seed=args.seed,
-            components=args.components,
-            decay=args.decay,
-        )
-    )
-
-
-def _cmd_theory_curves(args) -> int:
-    return _emit(
-        experiments.run_theory_curves(
-            args.out,
-            k_list=args.k_list,
-            d_list=args.d_list,
-            catalog_size=args.catalog_size,
-            grid_points=args.grid_points,
-        )
-    )
-
-
-def _cmd_fit_target(args) -> int:
-    return _emit(
-        experiments.run_fit_target(
-            args.out,
-            args.catalog,
-            target_index=args.target_index,
-            n_analogs=args.n_analogs,
-            exclusion_gap=args.exclusion_gap,
-        )
-    )
-
-
-def _cmd_mc_distances(args) -> int:
-    return _emit(
-        experiments.run_mc_distances(
-            args.out,
-            args.catalog_source,
-            l_list=args.l_list,
-            n_catalogs=args.n_catalogs,
-            target_index=args.target,
-            n_analogs_dim=args.k_dim,
-            k_markers=args.k_markers,
-            bw_dim=args.bw_dim,
-            bw_rho=args.bw_rho,
-            bw_rescaled=args.bw_rescaled,
-            seed=args.seed,
-        )
-    )
-
-
-def _cmd_rescaled_density(args) -> int:
-    return _emit(
-        experiments.run_rescaled_density(
-            args.out,
-            args.catalog,
-            k_max=args.k_max,
-            bandwidth=args.bandwidth,
-            n_analogs_dim=args.k_dim,
-            n_targets=args.n_targets,
-            exclusion_gap=args.exclusion_gap,
-            seed=args.seed,
-        )
-    )
-
-
-def _cmd_dmax_scan(args) -> int:
-    return _emit(
-        experiments.run_dmax_scan(
-            args.out,
-            args.catalog,
-            epsilon=args.epsilon,
-            k_list=args.k_list,
-            eof_counts=args.eof_counts,
-            l_eff=args.l_eff,
-            rho_bar=args.rho_bar,
-            n_analogs=args.n_analogs,
-            n_targets=args.n_targets,
-            seed=args.seed,
-            rmsd_pairs=args.rmsd_pairs,
-        )
-    )
-
-
-def _cmd_cluster(args) -> int:
-    return _emit(
-        experiments.run_cluster(
-            args.out,
-            args.catalog,
-            n_eof=args.n_eof,
-            candidates=args.candidates,
-            seeds_per_candidate=args.seeds,
-            covariance=args.covariance,
-            standardize=args.standardize,
-            seed=args.seed,
-        )
-    )
-
-
-def _cmd_dim_stats(args) -> int:
-    return _emit(
-        experiments.run_dim_stats(
-            args.out,
-            args.catalog,
-            n_analogs=args.n_analogs,
-            exclusion_gap=args.exclusion_gap,
-            n_targets=args.n_targets,
-            steps_per_day=args.steps_per_day,
-            smooth_window_days=args.smooth_window_days,
-            hist_bins=args.hist_bins,
-        )
-    )
-
-
-def _cmd_rerun(args) -> int:
-    result, status = experiments.run_rerun(args.manifest, out=args.out)
+def _cmd_rerun(manifest, out=None) -> int:
+    result, status = experiments.run_rerun(manifest, out=out)
     for line in result.summary:
         print(line)
     clean = True
@@ -196,6 +76,11 @@ def _cmd_rerun(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per entry of experiments.RUNNERS, plus rerun.
+
+    Each option's dest is the runner's keyword, and an option left out is
+    left out of the call, so every default lives once, in the runner.
+    """
     parser = argparse.ArgumentParser(
         prog="analogdist",
         description="Analog-distance experiments: catalogs, dimension estimates, "
@@ -204,129 +89,119 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"analogdist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    g = sub.add_parser("gen-l63", help="integrate the three-variable convection system into a catalog")
-    g.add_argument("--n", type=int, default=20_000, help="number of catalog states")
-    g.add_argument("--dt", type=float, default=0.01, help="integration step")
-    g.add_argument("--burn-in", type=int, default=10_000, help="discarded initial steps")
-    g.add_argument("--stride", type=int, default=1, help="steps between stored samples")
-    g.add_argument("--seed", type=int, default=None, help="jitter the initial condition")
-    g.add_argument("--out", required=True, help="output .anacat path")
-    g.set_defaults(func=_cmd_gen_l63)
+    def command(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
 
-    g = sub.add_parser("gen-surrogate", help="traveling-modes surrogate catalog with known dimension")
+    g = command("gen-l63", "integrate the three-variable convection system into a catalog")
+    g.add_argument("--n", type=int, help="number of catalog states")
+    g.add_argument("--dt", type=float, help="integration step")
+    g.add_argument("--burn-in", type=int, help="discarded initial steps")
+    g.add_argument("--stride", type=int, help="steps between stored samples")
+    g.add_argument("--seed", type=int, help="jitter the initial condition")
+    g.add_argument("--out", required=True, help="output .anacat path")
+
+    g = command("gen-surrogate", "traveling-modes surrogate catalog with known dimension")
     g.add_argument("--modes", type=int, required=True, help="number of independent phases")
-    g.add_argument("--grid", type=int, default=64, help="spatial grid points per component")
-    g.add_argument("--n", type=int, default=30_000, help="number of snapshots")
-    g.add_argument("--noise", type=float, default=1e-3, help="additive noise std")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--components", type=int, default=1, help="stacked field components")
-    g.add_argument("--decay", type=float, default=0.85, help="geometric mode-amplitude decay")
+    g.add_argument("--grid", type=int, help="spatial grid points per component")
+    g.add_argument("--n", type=int, help="number of snapshots")
+    g.add_argument("--noise", type=float, help="additive noise std")
+    g.add_argument("--seed", type=int)
+    g.add_argument("--components", type=int, help="stacked field components")
+    g.add_argument("--decay", type=float, help="geometric mode-amplitude decay")
     g.add_argument("--out", required=True, help="output .anacat path")
-    g.set_defaults(func=_cmd_gen_surrogate)
 
-    g = sub.add_parser("theory-curves", help="tabulate rank-distance densities and moment markers")
-    g.add_argument("--k-list", type=_int_list, default=[1, 5, 30], help="analog ranks")
-    g.add_argument("--d-list", type=_float_list, default=[1.3, 2.0, 5.0], help="dimensions")
-    g.add_argument("--L", dest="catalog_size", type=lambda s: int(float(s)), default=100_000,
-                   help="catalog size entering the law")
-    g.add_argument("--grid-points", type=int, default=512)
+    g = command("theory-curves", "tabulate rank-distance densities and moment markers")
+    g.add_argument("--k-list", type=_int_list, help="analog ranks")
+    g.add_argument("--d-list", type=_float_list, help="dimensions")
+    g.add_argument("--L", dest="catalog_size", type=_int, help="catalog size entering the law")
+    g.add_argument("--grid-points", type=int)
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_theory_curves)
 
-    g = sub.add_parser("fit-target", help="fit the distance power law at one catalog row")
+    g = command("fit-target", "fit the distance power law at one catalog row")
     g.add_argument("--catalog", required=True, help=".anacat file")
     g.add_argument("--target-index", type=int, required=True)
-    g.add_argument("--K", dest="n_analogs", type=int, default=40, help="analogs used in the fit")
-    g.add_argument("--exclusion-gap", type=int, default=0, help="temporal exclusion half-window")
+    g.add_argument("--K", dest="n_analogs", type=int, help="analogs used in the fit")
+    g.add_argument("--exclusion-gap", type=int, help="temporal exclusion half-window")
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_fit_target)
 
-    g = sub.add_parser("mc-distances", help="distance statistics across independent random catalogs")
+    g = command("mc-distances", "distance statistics across independent random catalogs")
     g.add_argument("--catalog-source", required=True, help="large .anacat to subsample")
-    g.add_argument("--L-list", dest="l_list", type=_int_list, default=[10_000, 100_000],
-                   help="comma-separated catalog sizes")
-    g.add_argument("--n-catalogs", type=int, default=200, help="catalogs per size")
-    g.add_argument("--target", type=int, default=0, help="source row used as the target")
-    g.add_argument("--K-dim", dest="k_dim", type=int, default=150,
+    g.add_argument("--L-list", dest="l_list", type=_int_list, help="comma-separated catalog sizes")
+    g.add_argument("--n-catalogs", type=int, help="catalogs per size")
+    g.add_argument("--target", dest="target_index", type=int, help="source row used as the target")
+    g.add_argument("--K-dim", dest="n_analogs_dim", type=int,
                    help="analogs per catalog for the dimension estimate")
-    g.add_argument("--k-markers", type=_int_list, default=[1, 15, 30],
-                   help="ranks whose rescaled distances are tested")
-    g.add_argument("--bw-dim", type=float, default=0.15, help="KDE bandwidth, dimension panel")
-    g.add_argument("--bw-rho", type=float, default=4.0, help="KDE bandwidth, rescaling panel")
-    g.add_argument("--bw-rescaled", type=float, default=0.3, help="KDE bandwidth, rescaled panel")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--k-markers", type=_int_list, help="ranks whose rescaled distances are tested")
+    g.add_argument("--bw-dim", type=float, help="KDE bandwidth, dimension panel")
+    g.add_argument("--bw-rho", type=float, help="KDE bandwidth, rescaling panel")
+    g.add_argument("--bw-rescaled", type=float, help="KDE bandwidth, rescaled panel")
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_mc_distances)
 
-    g = sub.add_parser("rescaled-density", help="pooled rescaled-fluctuation densities per rank")
+    g = command("rescaled-density", "pooled rescaled-fluctuation densities per rank")
     g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--k-max", type=int, default=8, help="largest rank to pool")
-    g.add_argument("--bandwidth", type=float, default=0.3, help="KDE bandwidth")
-    g.add_argument("--K-dim", dest="k_dim", type=int, default=40,
+    g.add_argument("--k-max", type=int, help="largest rank to pool")
+    g.add_argument("--bandwidth", type=float, help="KDE bandwidth")
+    g.add_argument("--K-dim", dest="n_analogs_dim", type=int,
                    help="analogs per target for the dimension fit")
-    g.add_argument("--n-targets", type=int, default=400)
-    g.add_argument("--exclusion-gap", type=int, default=36, help="temporal exclusion half-window")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--n-targets", type=int)
+    g.add_argument("--exclusion-gap", type=int, help="temporal exclusion half-window")
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_rescaled_density)
 
-    g = sub.add_parser("dmax-scan", help="scan EOF truncations against the analog-quality criterion")
+    g = command("dmax-scan", "scan EOF truncations against the analog-quality criterion")
     g.add_argument("--catalog", required=True, help=".anacat file")
     g.add_argument("--epsilon", type=float, required=True,
                    help="tolerated mean rank-k distance as a fraction of RMSD")
-    g.add_argument("--k-list", type=_int_list, default=[1, 5, 25, 100], help="analog ranks")
-    g.add_argument("--eof-counts", type=_int_list,
-                   default=[1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50],
-                   help="EOF truncations to test")
-    g.add_argument("--L-eff", dest="l_eff", type=lambda s: int(float(s)), default=None,
+    g.add_argument("--k-list", type=_int_list, help="analog ranks")
+    g.add_argument("--eof-counts", type=_int_list, help="EOF truncations to test")
+    g.add_argument("--L-eff", dest="l_eff", type=_int,
                    help="effective decorrelated catalog size (default: length/24)")
-    g.add_argument("--rho-bar", type=float, default=0.55, help="typical density rescaling")
-    g.add_argument("--K", dest="n_analogs", type=int, default=40,
+    g.add_argument("--rho-bar", type=float, help="typical density rescaling")
+    g.add_argument("--K", dest="n_analogs", type=int,
                    help="analogs per target for dimension estimates")
-    g.add_argument("--n-targets", type=int, default=200)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--rmsd-pairs", type=int, default=50_000)
+    g.add_argument("--n-targets", type=int)
+    g.add_argument("--seed", type=int)
+    g.add_argument("--rmsd-pairs", type=int)
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_dmax_scan)
 
-    g = sub.add_parser("cluster", help="EOF reduction plus BIC-selected Gaussian mixture")
+    g = command("cluster", "EOF reduction plus BIC-selected Gaussian mixture")
     g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--n-eof", type=int, default=50, help="EOF components kept")
-    g.add_argument("--candidates", type=_int_list, default=[1, 2, 3, 4, 5, 6, 7, 8],
-                   help="mixture sizes to score")
-    g.add_argument("--seeds", type=int, default=5, help="EM restarts per candidate")
-    g.add_argument("--covariance", choices=("full", "diag"), default="full")
+    g.add_argument("--n-eof", type=int, help="EOF components kept")
+    g.add_argument("--candidates", type=_int_list, help="mixture sizes to score")
+    g.add_argument("--seeds", dest="seeds_per_candidate", type=int,
+                   help="EM restarts per candidate")
+    g.add_argument("--covariance", choices=("full", "diag"))
     g.add_argument("--standardize", action="store_true",
                    help="scale projected components to unit variance before fitting")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int)
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_cluster)
 
-    g = sub.add_parser("dim-stats", help="local-dimension series with daily/weekly statistics")
+    g = command("dim-stats", "local-dimension series with daily/weekly statistics")
     g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--K", dest="n_analogs", type=int, default=40, help="analogs per target")
-    g.add_argument("--exclusion-gap", type=int, default=36, help="temporal exclusion half-window")
-    g.add_argument("--n-targets", type=int, default=2000)
-    g.add_argument("--steps-per-day", type=int, default=24, help="catalog time steps per day")
-    g.add_argument("--smooth-window-days", type=float, default=80.0,
+    g.add_argument("--K", dest="n_analogs", type=int, help="analogs per target")
+    g.add_argument("--exclusion-gap", type=int, help="temporal exclusion half-window")
+    g.add_argument("--n-targets", type=int)
+    g.add_argument("--steps-per-day", type=int, help="catalog time steps per day")
+    g.add_argument("--smooth-window-days", type=float,
                    help="Gaussian smoothing window (sigma = window/4)")
-    g.add_argument("--hist-bins", type=int, default=40)
+    g.add_argument("--hist-bins", type=int)
     g.add_argument("--out", required=True, help="output directory")
-    g.set_defaults(func=_cmd_dim_stats)
 
-    g = sub.add_parser("rerun", help="re-run an experiment from its manifest and verify hashes")
+    g = command("rerun", "re-run an experiment from its manifest and verify hashes")
     g.add_argument("manifest", help="manifest.json written by a previous run")
-    g.add_argument("--out", default=None, help="regenerate outputs here instead of in place")
-    g.set_defaults(func=_cmd_rerun)
+    g.add_argument("--out", help="regenerate outputs here instead of in place")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    kwargs = vars(build_parser().parse_args(argv))
+    command = kwargs.pop("command")
     try:
-        return args.func(args)
+        if command == "rerun":
+            return _cmd_rerun(**kwargs)
+        return _emit(experiments.RUNNERS[command][0](**kwargs))
     except (NonFiniteError, DegenerateDistancesError, CovarianceCollapseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -22,14 +22,7 @@ __all__ = [
     "estimate_local_dimension",
     "fit_prefactor",
     "rescale_distances",
-    "DEFAULT_N_ANALOGS",
-    "DEFAULT_N_ANALOGS_SHORT",
 ]
-
-# Analog counts used by the experiment drivers: the long setting for dense
-# reference catalogs, the short one for weather-scale catalogs.
-DEFAULT_N_ANALOGS = 150
-DEFAULT_N_ANALOGS_SHORT = 40
 
 
 @dataclass(frozen=True)

@@ -130,10 +130,11 @@ def write_csv(path, name: str, columns: dict) -> Path:
     return path
 
 
-def _write_svg(path, svg_text: str) -> Path:
-    path = Path(path)
-    path.write_text(svg_text, encoding="utf-8")
-    return path
+def _plot(csv_path: Path, svg_name: str, x, y, **style) -> Path:
+    """Render a CSV the driver just wrote as an SVG line plot beside it."""
+    svg = csv_path.parent / svg_name
+    svg.write_text(line_plot(csv_path.read_text(encoding="utf-8"), x, y, **style), encoding="utf-8")
+    return svg
 
 
 def _ensure_dir(out) -> Path:
@@ -197,8 +198,7 @@ def _query_analogs(index: NeighborIndex, cat: Catalog, row: int, k: int, gap: in
 def run_gen_l63(out, n=20_000, dt=0.01, burn_in=10_000, stride=1, seed=None) -> ExperimentResult:
     """Integrate the three-variable convection system and save the samples."""
     out = Path(out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _ensure_dir(out.parent)
     parameters = {
         "out": str(out),
         "n": int(n),
@@ -237,8 +237,7 @@ def run_gen_surrogate(
 ) -> ExperimentResult:
     """Save a traveling-modes surrogate catalog with known effective dimension."""
     out = Path(out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    _ensure_dir(out.parent)
     parameters = {
         "out": str(out),
         "modes": int(modes),
@@ -327,18 +326,9 @@ def run_theory_curves(
         {"series": series, "d": d_col, "k": k_col, "x": x_col, "density": y_col},
     )
     markers = write_csv(out / "markers.csv", "theory-markers", marker_cols)
-    svg = _write_svg(
-        out / "curves.svg",
-        line_plot(
-            curves.read_text(encoding="utf-8"),
-            "x",
-            "density",
-            group="series",
-            title="Rank-distance densities (catalog-size-free units)",
-            x_label="r * L^(1/d)",
-            y_label="p_k / max p_k",
-        ),
-    )
+    svg = _plot(curves, "curves.svg", "x", "density", group="series",
+                title="Rank-distance densities (catalog-size-free units)",
+                x_label="r * L^(1/d)", y_label="p_k / max p_k")
     summary = [
         f"tabulated {len(k_list) * len(d_list)} curves on {grid_points}-point grids",
         f"wrote {curves.name}, {markers.name}, {svg.name} in {out}",
@@ -401,19 +391,9 @@ def run_fit_target(out, catalog, target_index, n_analogs=40, exclusion_gap=0) ->
             "residual": [fit.residual],
         },
     )
-    svg = _write_svg(
-        out / "fit.svg",
-        line_plot(
-            fit_csv.read_text(encoding="utf-8"),
-            "k",
-            "distance",
-            group="series",
-            dashed=("fit-std", "fit+std"),
-            title=f"Analog distances at target {target_index}",
-            x_label="rank k",
-            y_label="distance",
-        ),
-    )
+    svg = _plot(fit_csv, "fit.svg", "k", "distance", group="series", dashed=("fit-std", "fit+std"),
+                title=f"Analog distances at target {target_index}", x_label="rank k",
+                y_label="distance")
     summary = [
         f"target {target_index}: dim={est.dim:.3f} prefactor={fit.prefactor:.4g} "
         f"rescaling={fit.rescaling:.4g} (residual {fit.residual:.3g})",
@@ -582,33 +562,14 @@ def run_mc_distances(
 
     dim_csv = write_csv(out / "dim_density.csv", "mc-dim-density", _kde_columns(dims_by_label, float(bw_dim)))
     rho_csv = write_csv(out / "rho_density.csv", "mc-rho-density", _kde_columns(rho_by_label, float(bw_rho)))
-    outputs.extend([dim_csv, rho_csv])
-    outputs.append(
-        _write_svg(
-            out / "dim.svg",
-            line_plot(
-                dim_csv.read_text(encoding="utf-8"),
-                "x",
-                "density",
-                group="series",
-                title="Estimated dimension across random catalogs",
-                x_label="dim",
-            ),
-        )
-    )
-    outputs.append(
-        _write_svg(
-            out / "rho.svg",
-            line_plot(
-                rho_csv.read_text(encoding="utf-8"),
-                "x",
-                "density",
-                group="series",
-                title="Density rescaling rho across random catalogs",
-                x_label="rho",
-            ),
-        )
-    )
+    outputs += [
+        dim_csv,
+        rho_csv,
+        _plot(dim_csv, "dim.svg", "x", "density", group="series",
+              title="Estimated dimension across random catalogs", x_label="dim"),
+        _plot(rho_csv, "rho.svg", "x", "density", group="series",
+              title="Density rescaling rho across random catalogs", x_label="rho"),
+    ]
     for k in k_markers:
         def theory(label, grid, k=k):
             size, dbar = dbar_by_label[label]
@@ -619,21 +580,12 @@ def run_mc_distances(
             f"mc-rescaled-k{k}",
             _kde_columns(rescaled[k], float(bw_rescaled), theory=theory),
         )
-        outputs.append(k_csv)
-        outputs.append(
-            _write_svg(
-                out / f"rescaled_k{k}.svg",
-                line_plot(
-                    k_csv.read_text(encoding="utf-8"),
-                    "x",
-                    "density",
-                    group="series",
-                    dashed=tuple(f"L={size} theory" for size in l_list),
-                    title=f"Rescaled distance r_{k} / C vs unit-catalog law",
-                    x_label="r / C",
-                ),
-            )
-        )
+        outputs += [
+            k_csv,
+            _plot(k_csv, f"rescaled_k{k}.svg", "x", "density", group="series",
+                  dashed=tuple(f"L={size} theory" for size in l_list),
+                  title=f"Rescaled distance r_{k} / C vs unit-catalog law", x_label="r / C"),
+        ]
         p_bits = ", ".join(
             f"L={ks_cols['L'][i]}: {ks_cols['p_value'][i]:.3f}"
             for i in range(len(ks_cols["k"]))
@@ -733,18 +685,9 @@ def run_rescaled_density(
         "rescaled-densities",
         {"series": series, "k": k_col, "u": u_col, "density": y_col},
     )
-    svg = _write_svg(
-        out / "rescaled.svg",
-        line_plot(
-            curves_csv.read_text(encoding="utf-8"),
-            "u",
-            "density",
-            group="series",
-            dashed=tuple(f"k={k} theory" for k in range(1, k_max + 1)),
-            title=f"Rescaled fluctuations, mean dim {dbar:.2f}",
-            x_label="u",
-        ),
-    )
+    svg = _plot(curves_csv, "rescaled.svg", "u", "density", group="series",
+                dashed=tuple(f"k={k} theory" for k in range(1, k_max + 1)),
+                title=f"Rescaled fluctuations, mean dim {dbar:.2f}", x_label="u")
     summary = [
         f"{len(picks)} targets: mean dim {dbar:.3f} (std {dims.std(ddof=1):.3f}), "
         f"ranks 1..{k_max} pooled",
@@ -843,31 +786,13 @@ def run_dmax_scan(
 
     scan_csv = write_csv(out / "scan.csv", "dmax-scan", scan_cols)
     boundary_csv = write_csv(out / "boundary.csv", "dmax-boundary", boundary_cols)
-    ratio_svg = _write_svg(
-        out / "ratio.svg",
-        line_plot(
-            scan_csv.read_text(encoding="utf-8"),
-            "n_eof",
-            "ratio",
-            group="series",
-            title=f"Mean rank-k distance / RMSD (epsilon={float(epsilon):g})",
-            x_label="EOF count",
-        ),
-    )
-    boundary_svg = _write_svg(
-        out / "boundary.svg",
-        line_plot(
-            boundary_csv.read_text(encoding="utf-8"),
-            "k",
-            "dmax",
-            group="series",
-            dashed=("theory",),
-            log_x=True,
-            title="Largest truncation passing the criterion",
-            x_label="rank k",
-            y_label="dimension budget",
-        ),
-    )
+    ratio_svg = _plot(scan_csv, "ratio.svg", "n_eof", "ratio", group="series",
+                      title=f"Mean rank-k distance / RMSD (epsilon={float(epsilon):g})",
+                      x_label="EOF count")
+    boundary_svg = _plot(boundary_csv, "boundary.svg", "k", "dmax", group="series",
+                         dashed=("theory",), log_x=True,
+                         title="Largest truncation passing the criterion", x_label="rank k",
+                         y_label="dimension budget")
     return _finish(
         "dmax-scan",
         parameters,
@@ -893,7 +818,7 @@ def run_cluster(
 ) -> ExperimentResult:
     """EOF-reduce a catalog, select a mixture size by BIC, assign clusters."""
     out = _ensure_dir(out)
-    cat = load_catalog(catalog)
+    cat = _with_times(load_catalog(catalog))
     n_eof = int(n_eof)
     parameters = {
         "out": str(out),
@@ -931,11 +856,10 @@ def run_cluster(
             "bic": [b for _, b in selection.bic_curve],
         },
     )
-    times = cat.times if cat.times is not None else np.arange(len(cat), dtype=np.int64)
     assign_csv = write_csv(
         out / "assignments.csv",
         "cluster-assignments",
-        {"index": np.arange(len(cat)), "time": times, "cluster": labels},
+        {"index": np.arange(len(cat)), "time": cat.times, "cluster": labels},
     )
     eof_csv = write_csv(
         out / "eof.csv",
@@ -947,16 +871,8 @@ def run_cluster(
     )
     model_path = out / "model.json"
     model_path.write_text(selection.best_model.to_json() + "\n", encoding="utf-8")
-    bic_svg = _write_svg(
-        out / "bic.svg",
-        line_plot(
-            bic_csv.read_text(encoding="utf-8"),
-            "n_components",
-            "bic",
-            title="BIC across mixture sizes",
-            x_label="components",
-        ),
-    )
+    bic_svg = _plot(bic_csv, "bic.svg", "n_components", "bic", title="BIC across mixture sizes",
+                    x_label="components")
     summary = [
         f"selected {selection.best_n} components (BIC curve over "
         f"{[n for n, _ in selection.bic_curve]})",
@@ -996,7 +912,10 @@ def run_dim_stats(
     out = _ensure_dir(out)
     cat = _with_times(load_catalog(catalog))
     n_analogs = int(n_analogs)
+    n_targets = int(n_targets)
     steps_per_day = int(steps_per_day)
+    if n_targets < 1:
+        raise ValueError("n_targets must be >= 1")
     if steps_per_day < 1:
         raise ValueError("steps_per_day must be >= 1")
     parameters = {
@@ -1004,14 +923,14 @@ def run_dim_stats(
         "catalog": str(catalog),
         "n_analogs": n_analogs,
         "exclusion_gap": int(exclusion_gap),
-        "n_targets": int(n_targets),
+        "n_targets": n_targets,
         "steps_per_day": steps_per_day,
         "smooth_window_days": float(smooth_window_days),
         "hist_bins": int(hist_bins),
     }
 
     index = NeighborIndex(cat)
-    picks = np.unique(np.linspace(0, len(cat) - 1, min(int(n_targets), len(cat))).round().astype(np.int64))
+    picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
     dims = np.empty(len(picks))
     for j, row in enumerate(picks):
         analogs = _query_analogs(index, cat, int(row), n_analogs, int(exclusion_gap))
@@ -1055,37 +974,12 @@ def run_dim_stats(
         {"week": uniq_weeks, "q10": q10, "q90": q90, "spread": q90 - q10},
     )
 
-    hist_svg = _write_svg(
-        out / "hist.svg",
-        line_plot(
-            hist_csv.read_text(encoding="utf-8"),
-            "bin_center",
-            "density",
-            title="Local dimension histogram",
-            x_label="dim",
-        ),
-    )
-    daily_svg = _write_svg(
-        out / "daily.svg",
-        line_plot(
-            daily_csv.read_text(encoding="utf-8"),
-            "day",
-            ("mean_dim", "smoothed"),
-            title="Daily mean local dimension",
-            x_label="day",
-            y_label="dim",
-        ),
-    )
-    weekly_svg = _write_svg(
-        out / "weekly.svg",
-        line_plot(
-            weekly_csv.read_text(encoding="utf-8"),
-            "week",
-            "spread",
-            title="Weekly 10-90 % dimension spread",
-            x_label="week",
-        ),
-    )
+    hist_svg = _plot(hist_csv, "hist.svg", "bin_center", "density",
+                     title="Local dimension histogram", x_label="dim")
+    daily_svg = _plot(daily_csv, "daily.svg", "day", ("mean_dim", "smoothed"),
+                      title="Daily mean local dimension", x_label="day", y_label="dim")
+    weekly_svg = _plot(weekly_csv, "weekly.svg", "week", "spread",
+                       title="Weekly 10-90 % dimension spread", x_label="week")
     summary = [
         f"{len(picks)} targets: dim mean {dims.mean():.3f} std {dims.std(ddof=1):.3f} "
         f"min {dims.min():.3f} max {dims.max():.3f}",

@@ -15,10 +15,7 @@ from .errors import NonFiniteError
 
 __all__ = [
     "L63Params",
-    "L63State",
     "Trajectory",
-    "l63_derivative",
-    "rk4_step",
     "generate_trajectory",
     "DEFAULT_DT",
     "DEFAULT_BURN_IN",
@@ -44,16 +41,6 @@ class L63Params:
 
 
 @dataclass(frozen=True)
-class L63State:
-    x1: float
-    x2: float
-    x3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3], dtype=np.float64)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Sampled trajectory: ``states[i]`` is the state after ``burn_in + i*stride``
     integration steps of size ``dt``."""
@@ -70,25 +57,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def state(self, i: int) -> L63State:
-        x1, x2, x3 = self.states[i]
-        return L63State(float(x1), float(x2), float(x3))
-
-
-def l63_derivative(s: L63State, p: L63Params = L63Params()) -> L63State:
-    """Right-hand side of the Lorenz-63 equations."""
-    return L63State(
-        p.sigma * (s.x2 - s.x1),
-        s.x1 * (p.rho - s.x3) - s.x2,
-        s.x1 * s.x2 - p.beta * s.x3,
-    )
-
-
-def rk4_step(s: L63State, p: L63Params = L63Params(), dt: float = DEFAULT_DT) -> L63State:
-    """One classical Runge-Kutta step of size dt."""
-    x1, x2, x3 = _rk4(s.x1, s.x2, s.x3, p.sigma, p.rho, p.beta, dt)
-    return L63State(x1, x2, x3)
 
 
 def _rk4(x1, x2, x3, sigma, rho, beta, dt):
@@ -128,7 +96,7 @@ def _rk4(x1, x2, x3, sigma, rho, beta, dt):
 
 
 def generate_trajectory(
-    s0: L63State | tuple[float, float, float] = DEFAULT_INITIAL_STATE,
+    s0: tuple[float, float, float] = DEFAULT_INITIAL_STATE,
     n_steps: int = 1000,
     dt: float = DEFAULT_DT,
     burn_in: int = DEFAULT_BURN_IN,
@@ -157,10 +125,7 @@ def generate_trajectory(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
-    if isinstance(s0, L63State):
-        x1, x2, x3 = s0.x1, s0.x2, s0.x3
-    else:
-        x1, x2, x3 = map(float, s0)
+    x1, x2, x3 = map(float, s0)
     if seed is not None:
         rng = np.random.default_rng(seed)
         dx = rng.normal(0.0, jitter, size=3)

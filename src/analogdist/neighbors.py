@@ -18,9 +18,6 @@ from .errors import DimensionMismatchError, NonFiniteError, NotEnoughAnalogsErro
 __all__ = [
     "AnalogSet",
     "NeighborIndex",
-    "knn",
-    "knn_radius",
-    "euclidean",
     "KDTREE_MAX_DIM",
 ]
 
@@ -58,13 +55,6 @@ class AnalogSet:
         else:
             keep = self.indices != index
         return AnalogSet(self.target, self.distances[keep], self.indices[keep])
-
-
-def euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    """Reference distance used throughout the package."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
 class NeighborIndex:
@@ -170,7 +160,10 @@ class NeighborIndex:
             idx, dist = self._candidates_prefix(z, n_analogs)
             return AnalogSet(z, dist[:n_analogs], idx[:n_analogs])
 
-        m = n_analogs
+        # Catalog times are distinct integers, so at most 2*gap - 1 rows fall
+        # inside the target's gap and one round suffices; the set grows only
+        # when dedup_neighbor_runs drops more.
+        m = n_analogs + max(2 * policy.min_target_gap - 1, 0)
         while True:
             idx, dist = self._candidates_prefix(z, m)
             kept_idx, kept_dist = apply_exclusion(
@@ -209,35 +202,3 @@ class NeighborIndex:
         if policy is not None:
             sel, dist = apply_exclusion(sel, dist, target_time, self.catalog.times, policy)
         return AnalogSet(z, dist, sel)
-
-
-def knn(
-    catalog: Catalog,
-    target,
-    n_analogs: int,
-    policy: ExclusionPolicy | None = None,
-    target_time: int | None = None,
-    backend: str = "auto",
-) -> AnalogSet:
-    """One-shot nearest-neighbour query; see NeighborIndex.query.
-
-    Building a NeighborIndex once is cheaper when querying the same catalog
-    repeatedly.
-    """
-    return NeighborIndex(catalog, backend=backend).query(
-        target, n_analogs, policy=policy, target_time=target_time
-    )
-
-
-def knn_radius(
-    catalog: Catalog,
-    target,
-    radius: float,
-    policy: ExclusionPolicy | None = None,
-    target_time: int | None = None,
-    backend: str = "auto",
-) -> AnalogSet:
-    """One-shot radius query; see NeighborIndex.query_radius."""
-    return NeighborIndex(catalog, backend=backend).query_radius(
-        target, radius, policy=policy, target_time=target_time
-    )

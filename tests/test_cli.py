@@ -4,6 +4,7 @@
 """
 
 import argparse
+import inspect
 import json
 import subprocess
 import sys
@@ -52,8 +53,28 @@ class TestParsing:
 
     def test_int_list_accepts_scientific_notation(self):
         assert _int_list("1e5,2, 30") == [100_000, 2, 30]
-        with pytest.raises(argparse.ArgumentTypeError):
-            _int_list("a,b")
+        for text in ("a,b", "2.5", "1,2.9", "1e-1", "inf", "nan"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _int_list(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory-curves", "--k-list", "2.5", "--out", "theory"],
+            ["theory-curves", "--L", "2.5", "--out", "theory"],
+            ["dmax-scan", "--catalog", "c.anacat", "--epsilon", "0.4", "--eof-counts", "2.9",
+             "--out", "dmax"],
+            ["dmax-scan", "--catalog", "c.anacat", "--epsilon", "0.4", "--L-eff", "250.5",
+             "--out", "dmax"],
+        ],
+    )
+    def test_non_integral_integer_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "not an integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_float_list(self):
         assert _float_list("1.5,2") == [1.5, 2.0]
@@ -66,6 +87,22 @@ class TestParsing:
             a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
         assert set(sub.choices) == set(experiments.RUNNERS) | {"rerun"}
+
+    def test_options_are_runner_keywords_without_own_defaults(self):
+        # A flag left out must be left out of the call, so the runner's
+        # signature holds the only default; required flags are exactly the
+        # runner's parameters without one.
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        for command, (runner, _) in experiments.RUNNERS.items():
+            params = inspect.signature(runner).parameters
+            actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+            for action in actions:
+                assert action.dest in params, (command, action.dest)
+                assert action.default is argparse.SUPPRESS, (command, action.dest)
+            required = {a.dest for a in actions if a.required}
+            assert required == {n for n, p in params.items() if p.default is p.empty}, command
 
 
 class TestExitCodes:
@@ -100,7 +137,7 @@ class TestExitCodes:
         def collapse(*args, **kwargs):
             raise CovarianceCollapseError("covariance collapsed during EM")
 
-        monkeypatch.setattr(experiments, "run_cluster", collapse)
+        monkeypatch.setitem(experiments.RUNNERS, "cluster", (collapse, "dir"))
         code = main(["cluster", "--catalog", "x.anacat", "--out", str(tmp_path)])
         assert code == 3
         assert "collapsed" in capsys.readouterr().err
@@ -130,6 +167,15 @@ class TestExitCodes:
         assert code == 0, capsys.readouterr().err
         daily = (tmp_path / "ds" / "daily.csv").read_text().splitlines()
         assert len(daily) == 2 + 60
+
+    def test_dim_stats_without_targets_exits_2_before_writing(self, tiny_catalog, tmp_path, capsys):
+        out = tmp_path / "ds"
+        code = main(
+            ["dim-stats", "--catalog", str(tiny_catalog), "--n-targets", "0", "--out", str(out)]
+        )
+        assert code == 2
+        assert "n_targets must be >= 1" in capsys.readouterr().err
+        assert list(out.glob("*.csv")) == []
 
     def test_missing_catalog_exits_4(self, tmp_path, capsys):
         code = main(

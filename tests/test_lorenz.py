@@ -11,60 +11,56 @@ import numpy as np
 import pytest
 
 from analogdist.errors import NonFiniteError
-from analogdist.lorenz import (
-    L63Params,
-    L63State,
-    generate_trajectory,
-    l63_derivative,
-    rk4_step,
-)
+from analogdist.lorenz import L63Params, generate_trajectory
 
 
-def _dist(a: L63State, b: L63State) -> float:
-    return math.sqrt((a.x1 - b.x1) ** 2 + (a.x2 - b.x2) ** 2 + (a.x3 - b.x3) ** 2)
+def _step(s, dt=0.01, params=L63Params()) -> np.ndarray:
+    """One RK4 step of size dt from s."""
+    return generate_trajectory(s, n_steps=2, burn_in=0, dt=dt, params=params).states[1]
 
 
-def _on_attractor_state() -> L63State:
-    return generate_trajectory(n_steps=1, burn_in=2_000).state(0)
+def _derivative(s, params=L63Params()) -> np.ndarray:
+    """Right-hand side at s, Richardson-extrapolated from two one-step
+    difference quotients: (phi_h(s) - s)/h = f(s) + O(h)."""
+    s = np.asarray(s, dtype=np.float64)
+    h = 1e-5
+    rate = lambda dt: (_step(s, dt, params) - s) / dt
+    return 2.0 * rate(h / 2) - rate(h)
+
+
+def _on_attractor_state() -> np.ndarray:
+    return generate_trajectory(n_steps=1, burn_in=2_000).states[0]
 
 
 def test_derivative_at_origin_is_zero():
-    d = l63_derivative(L63State(0.0, 0.0, 0.0))
-    assert (d.x1, d.x2, d.x3) == (0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(_derivative((0.0, 0.0, 0.0)), [0.0, 0.0, 0.0])
 
 
 def test_derivative_at_nontrivial_equilibrium():
     c = math.sqrt(72.0)
-    d = l63_derivative(L63State(c, c, 27.0))
-    # sqrt(72)**2 rounds to 72 + 1.4e-14, so demand ~1e-12 absolute, not 0.
-    assert abs(d.x1) < 1e-12
-    assert abs(d.x2) < 1e-11
-    assert abs(d.x3) < 1e-11
+    d = _derivative((c, c, 27.0))
+    # sqrt(72)**2 rounds to 72 + 1.4e-14, so demand a small absolute bound, not 0.
+    np.testing.assert_allclose(d, 0.0, atol=1e-8)
 
 
 def test_derivative_at_unit_point():
-    d = l63_derivative(L63State(1.0, 1.0, 1.0))
-    assert d.x1 == 0.0
-    assert d.x2 == 26.0
-    assert d.x3 == 1.0 - 8.0 / 3.0
+    d = _derivative((1.0, 1.0, 1.0))
+    np.testing.assert_allclose(d, [0.0, 26.0, 1.0 - 8.0 / 3.0], rtol=1e-7, atol=1e-7)
 
 
 def test_derivative_respects_custom_parameters():
     p = L63Params(sigma=2.0, rho=3.0, beta=1.0)
-    d = l63_derivative(L63State(1.0, 2.0, 3.0), p)
-    assert (d.x1, d.x2, d.x3) == (2.0, 1.0 * (3.0 - 3.0) - 2.0, 1.0 * 2.0 - 3.0)
+    d = _derivative((1.0, 2.0, 3.0), p)
+    np.testing.assert_allclose(d, [2.0, 1.0 * (3.0 - 3.0) - 2.0, 1.0 * 2.0 - 3.0], atol=1e-7)
 
 
 def test_rk4_step_fixes_equilibria():
-    origin = rk4_step(L63State(0.0, 0.0, 0.0), dt=0.37)
-    assert (origin.x1, origin.x2, origin.x3) == (0.0, 0.0, 0.0)
+    origin = _step((0.0, 0.0, 0.0), dt=0.37)
+    np.testing.assert_array_equal(origin, [0.0, 0.0, 0.0])
 
     c = math.sqrt(72.0)
-    eq = L63State(c, c, 27.0)
-    moved = rk4_step(eq, dt=0.01)
-    assert abs(moved.x1 - c) <= 1e-12 * c
-    assert abs(moved.x2 - c) <= 1e-12 * c
-    assert abs(moved.x3 - 27.0) <= 1e-12 * 27.0
+    moved = _step((c, c, 27.0), dt=0.01)
+    np.testing.assert_allclose(moved, [c, c, 27.0], rtol=1e-12, atol=0.0)
 
 
 def test_local_truncation_error_is_fifth_order():
@@ -72,10 +68,8 @@ def test_local_truncation_error_is_fifth_order():
     dts = [0.02, 0.01, 0.005]
     errs = []
     for dt in dts:
-        ref = s
-        for _ in range(32):
-            ref = rk4_step(ref, dt=dt / 32)
-        errs.append(_dist(rk4_step(s, dt=dt), ref))
+        ref = generate_trajectory(s, n_steps=33, burn_in=0, dt=dt / 32).states[-1]
+        errs.append(np.linalg.norm(_step(s, dt=dt) - ref))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert 4.6 < slope < 5.4
 
@@ -84,13 +78,10 @@ def test_global_error_is_fourth_order():
     s = _on_attractor_state()
 
     def integrate(dt, horizon=1.0):
-        state = s
-        for _ in range(round(horizon / dt)):
-            state = rk4_step(state, dt=dt)
-        return state
+        return generate_trajectory(s, n_steps=round(horizon / dt) + 1, burn_in=0, dt=dt).states[-1]
 
     ref = integrate(0.000625)
-    errs = [_dist(integrate(dt), ref) for dt in (0.02, 0.01)]
+    errs = [np.linalg.norm(integrate(dt) - ref) for dt in (0.02, 0.01)]
     slope = math.log2(errs[0] / errs[1])
     assert 3.4 < slope < 4.6
 
@@ -115,19 +106,19 @@ def test_sample_count_and_shape():
 
 
 def test_sampling_matches_manual_stepping():
-    # The fused loop must agree exactly with repeated public rk4_step calls:
-    # sample 0 after burn_in steps, each later sample after stride more.
+    # The fused loop must agree exactly with single steps taken one call at
+    # a time: sample 0 after burn_in steps, each later sample after stride more.
     burn_in, stride, n = 7, 3, 5
     traj = generate_trajectory(n_steps=n, burn_in=burn_in, stride=stride)
 
-    s = L63State(1.0, 1.0, 1.0)
+    s = np.array([1.0, 1.0, 1.0])
     for _ in range(burn_in):
-        s = rk4_step(s)
-    expected = [s.as_array()]
+        s = _step(s)
+    expected = [s]
     for _ in range(n - 1):
         for _ in range(stride):
-            s = rk4_step(s)
-        expected.append(s.as_array())
+            s = _step(s)
+        expected.append(s)
     np.testing.assert_array_equal(traj.states, np.array(expected))
 
 

@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from analogdist import neighbors
 from analogdist.catalog import Catalog, ExclusionPolicy
 from analogdist.errors import DimensionMismatchError, NonFiniteError, NotEnoughAnalogsError
-from analogdist.neighbors import (
-    KDTREE_MAX_DIM,
-    AnalogSet,
-    NeighborIndex,
-    euclidean,
-    knn,
-    knn_radius,
-)
+from analogdist.neighbors import KDTREE_MAX_DIM, AnalogSet, NeighborIndex
+
+
+def _euclidean(a, b) -> float:
+    """Scalar reference metric, one coordinate pair at a time."""
+    return sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)) ** 0.5
 
 
 def _brute_force(states, z, k):
@@ -37,21 +36,21 @@ def _assert_close_to_oracle(found, exp_dist, exp_idx):
 
 def test_three_point_line_example():
     c = Catalog(np.array([[0.0], [1.0], [3.0]]))
-    found = knn(c, [0.0], 2)
+    found = NeighborIndex(c).query([0.0], 2)
     np.testing.assert_array_equal(found.distances, [0.0, 1.0])
     np.testing.assert_array_equal(found.indices, [0, 1])
 
 
 def test_target_equal_to_member_gives_zero_distance():
     states = np.random.default_rng(1).normal(size=(40, 3))
-    found = knn(Catalog(states), states[17], 1)
+    found = NeighborIndex(Catalog(states)).query(states[17], 1)
     assert found.distances[0] == 0.0
     assert found.indices[0] == 17
 
 
 def test_ties_break_by_ascending_index():
     c = Catalog(np.array([[1.0], [-1.0], [2.0], [-2.0]]))
-    found = knn(c, [0.0], 4)
+    found = NeighborIndex(c).query([0.0], 4)
     np.testing.assert_array_equal(found.distances, [1.0, 1.0, 2.0, 2.0])
     np.testing.assert_array_equal(found.indices, [0, 1, 2, 3])
 
@@ -100,9 +99,9 @@ def test_distances_match_scalar_metric():
     rng = np.random.default_rng(11)
     states = rng.normal(size=(64, 5)) * 100
     z = rng.normal(size=5)
-    found = knn(Catalog(states), z, 64)
+    found = NeighborIndex(Catalog(states)).query(z, 64)
     for d, i in zip(found.distances, found.indices):
-        ref = euclidean(states[i], z)
+        ref = _euclidean(states[i], z)
         assert abs(d - ref) <= 4 * np.finfo(np.float64).eps * max(ref, 1.0)
 
 
@@ -118,7 +117,7 @@ def test_exactness_property(n, d, k, seed):
     states = rng.normal(size=(n, d))
     z = rng.normal(size=d)
     k = min(k, n)
-    found = knn(Catalog(states), z, k)
+    found = NeighborIndex(Catalog(states)).query(z, k)
     _assert_close_to_oracle(found, *_brute_force(states, z, k))
 
 
@@ -127,13 +126,13 @@ def test_exactness_property(n, d, k, seed):
 
 def test_radius_query_below_min_distance_is_empty():
     states = np.array([[1.0, 0.0], [0.0, 2.0]])
-    found = knn_radius(Catalog(states), [0.0, 0.0], 0.5)
+    found = NeighborIndex(Catalog(states)).query_radius([0.0, 0.0], 0.5)
     assert len(found.indices) == 0
 
 
 def test_radius_query_with_infinite_radius_returns_all():
     states = np.random.default_rng(0).normal(size=(30, 2))
-    found = knn_radius(Catalog(states), [0.0, 0.0], np.inf)
+    found = NeighborIndex(Catalog(states)).query_radius([0.0, 0.0], np.inf)
     assert len(found.indices) == 30
     assert np.all(np.diff(found.distances) >= 0)
 
@@ -155,7 +154,7 @@ def test_radius_query_matches_linear_scan(backend):
 def test_radius_query_rejects_nonpositive_radius():
     c = Catalog(np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        knn_radius(c, [0.0, 0.0], 0.0)
+        NeighborIndex(c).query_radius([0.0, 0.0], 0.0)
 
 
 # ---------------------------------------------------------- policy integration
@@ -188,6 +187,30 @@ def test_policy_requests_grow_until_enough_survivors():
     np.testing.assert_array_equal(strict.indices, kept[:30])
 
 
+@pytest.mark.parametrize("backend", ["kdtree", "exhaustive"])
+def test_policy_query_takes_one_exclusion_round(backend, monkeypatch):
+    # Contiguous times: at most 2*gap - 1 rows sit inside the target's gap.
+    rng = np.random.default_rng(17)
+    states = np.cumsum(rng.normal(size=(600, 3)), axis=0)
+    cat = Catalog(states, np.arange(600, dtype=np.int64))
+    index = NeighborIndex(cat, backend=backend)
+    real, calls = neighbors.apply_exclusion, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(neighbors, "apply_exclusion", counting)
+    gap, k = 12, 15
+    for row in (0, 250, 599):
+        calls.clear()
+        found = index.query(states[row], k, ExclusionPolicy(min_target_gap=gap), target_time=row)
+        assert len(calls) == 1
+        dist, order = _brute_force(states, states[row], len(states))
+        admissible = np.abs(order - row) >= gap
+        _assert_close_to_oracle(found, dist[admissible][:k], order[admissible][:k])
+
+
 def test_policy_exhaustion_reports_admissible_count():
     c = _timed_catalog()
     index = NeighborIndex(c)
@@ -201,13 +224,13 @@ def test_policy_exhaustion_reports_admissible_count():
 def test_oversized_request_raises():
     c = Catalog(np.zeros((4, 2)))
     with pytest.raises(NotEnoughAnalogsError):
-        knn(c, [0.0, 0.0], 5)
+        NeighborIndex(c).query([0.0, 0.0], 5)
 
 
 def test_dimension_mismatch_raises():
     c = Catalog(np.zeros((4, 3)))
     with pytest.raises(DimensionMismatchError):
-        knn(c, [0.0, 0.0], 1)
+        NeighborIndex(c).query([0.0, 0.0], 1)
 
 
 # Both explicit backends, and "auto" on each side of the k-d tree limit.
@@ -251,7 +274,7 @@ def test_invalid_backend_and_k():
     with pytest.raises(ValueError):
         NeighborIndex(c, backend="annoy")
     with pytest.raises(ValueError):
-        knn(c, [0.0, 0.0], 0)
+        NeighborIndex(c).query([0.0, 0.0], 0)
 
 
 # ------------------------------------------------------------------ AnalogSet

@@ -1,0 +1,51 @@
+"""The package's public surface resolves.
+
+Every name a module lists in `__all__` must exist, since tooling that
+wraps the package (such as a tracer that times each public function)
+looks each one up with getattr. The hooked methods and parameters below
+are looked up by name the same way.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import analogdist
+from analogdist.neighbors import NeighborIndex
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(analogdist.__path__))
+# `errors` only defines exception classes and exports no list.
+WITHOUT_ALL = {"errors"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"analogdist.{name}")
+    if name in WITHOUT_ALL:
+        return
+    exported = module.__all__
+    assert exported, f"analogdist.{name}.__all__ is empty"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert missing == []
+
+
+def test_neighbor_index_methods_are_defined_on_the_class():
+    assert {"__init__", "query", "query_radius"} <= set(vars(NeighborIndex))
+
+
+@pytest.mark.parametrize(
+    "module,function,parameters",
+    [
+        ("lorenz", "generate_trajectory", ("n_steps", "burn_in", "stride")),
+        ("catalog", "load_catalog", ("path",)),
+        ("catalog", "apply_exclusion", ("indices",)),
+        ("manifest", "file_sha256", ("path",)),
+        ("clustering", "gmm_fit", ("covariance",)),
+        ("dimred", "criterion_scan", ("data",)),
+    ],
+)
+def test_public_functions_keep_their_parameter_names(module, function, parameters):
+    fn = getattr(importlib.import_module(f"analogdist.{module}"), function)
+    assert set(parameters) <= set(inspect.signature(fn).parameters)
