@@ -228,60 +228,59 @@ class ScanRow:
 
 def criterion_scan(
     data,
-    criterion: ReductionCriterion,
+    criteria,
     eof_counts,
     n_analogs: int = 40,
     n_targets: int = 200,
     seed: int = 0,
     rmsd_pairs: int = 50_000,
-) -> list[ScanRow]:
-    """Evaluate the reduction criterion across EOF truncations.
+) -> list[list[ScanRow]]:
+    """Evaluate reduction criteria across EOF truncations.
 
     For each count, the catalog is projected on its leading components, the
     local dimension is estimated at n_analogs analogs over a fixed random
-    target subset, and the mean rank-``criterion.rank`` distance is compared
-    with the RMSD of the projected catalog. Targets, RMSD pairs, and the
-    basis are shared across counts so rows differ only by truncation.
+    target subset, and for each criterion the mean rank-``criterion.rank``
+    distance is compared with the RMSD of the projected catalog. Targets,
+    RMSD pairs, the basis and one analog query per target are shared across
+    counts and criteria, so rows differ only by truncation and rank. Returns
+    one ScanRow list per criterion, in order; since neighbour search returns
+    a (distance, index)-ordered prefix, each equals a scan of that criterion
+    alone.
     """
     x = _as_matrix(data)
     n_rows = len(x)
+    criteria = tuple(criteria)
+    if not criteria:
+        raise ValueError("criteria must be non-empty")
+    if n_targets < 1:
+        raise ValueError("n_targets must be >= 1")
     counts = sorted(set(int(n) for n in eof_counts))
     if not counts:
         raise ValueError("eof_counts must be non-empty")
     if counts[0] < 1 or counts[-1] > min(n_rows, x.shape[1]):
         raise ValueError("eof_counts out of range for the data")
-    k_query = max(n_analogs, criterion.rank)
+    k_query = max(n_analogs, *(c.rank for c in criteria))
     if k_query + 1 > n_rows:
         raise ValueError("catalog too small for the requested analog count")
 
-    l_eff = criterion.l_eff if criterion.l_eff is not None else max(2, n_rows // 24)
-    dmax_theory = dmax_from_threshold(
-        criterion.epsilon, criterion.rho_bar, l_eff, criterion.rank
-    )
+    dmax_theory = []
+    for c in criteria:
+        l_eff = c.l_eff if c.l_eff is not None else max(2, n_rows // 24)
+        if c.rank > l_eff:
+            raise ValueError(f"rank {c.rank} exceeds the effective catalog size L_eff = {l_eff}")
+        dmax_theory.append(dmax_from_threshold(c.epsilon, c.rho_bar, l_eff, c.rank))
 
     rng = np.random.default_rng(seed)
     targets = rng.choice(n_rows, size=min(n_targets, n_rows), replace=False)
     basis = eof_fit(x, counts[-1])
 
-    rows = []
+    scans = [[] for _ in criteria]
     for n in counts:
         reduced = project(basis, x, n)
         scale = rmsd(reduced, n_pairs=rmsd_pairs, seed=seed)
-        index = NeighborIndex(Catalog(reduced), backend="auto")
-        dims = np.empty(len(targets))
-        rank_dist = np.empty(len(targets))
-        for j, t in enumerate(targets):
-            analogs = index.query(reduced[t], k_query + 1).without_self_match(index=int(t))
-            dims[j] = estimate_local_dimension(analogs.distances[:n_analogs]).dim
-            rank_dist[j] = analogs.distances[criterion.rank - 1]
-        ratio = float(np.mean(rank_dist)) / scale
-        rows.append(
-            ScanRow(
-                n_eof=n,
-                mean_dim=float(np.mean(dims)),
-                ratio=ratio,
-                passed=bool(ratio < criterion.epsilon),
-                dmax_theory=dmax_theory,
-            )
-        )
-    return rows
+        dist = NeighborIndex(Catalog(reduced)).row_distances(targets, k_query)
+        mean_dim = float(np.mean([estimate_local_dimension(r[:n_analogs]).dim for r in dist]))
+        for c, theory, rows in zip(criteria, dmax_theory, scans):
+            ratio = float(np.mean(dist[:, c.rank - 1])) / scale
+            rows.append(ScanRow(n, mean_dim, ratio, bool(ratio < c.epsilon), theory))
+    return scans

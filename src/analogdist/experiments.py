@@ -26,7 +26,6 @@ import numpy as np
 
 from .catalog import (
     Catalog,
-    ExclusionPolicy,
     load_catalog,
     save_catalog,
     subsample_without_replacement,
@@ -47,7 +46,7 @@ from .disttheory import (
 )
 from .lorenz import generate_trajectory
 from .manifest import build_manifest, load_manifest, save_manifest, verify_outputs
-from .neighbors import AnalogSet, NeighborIndex
+from .neighbors import NeighborIndex
 from .surrogate import traveling_modes_surrogate
 from .svgplot import line_plot
 
@@ -177,20 +176,6 @@ def _unit_params(rank: int, dim: float, catalog_size: int) -> DistParams:
     )
 
 
-def _query_analogs(index: NeighborIndex, cat: Catalog, row: int, k: int, gap: int) -> AnalogSet:
-    """k analogs of catalog row `row`, never counting the row itself.
-
-    With a positive gap the temporal-exclusion policy handles the self
-    match (its time offset is zero); otherwise the row is dropped by index
-    and the set trimmed back to k.
-    """
-    if gap > 0:
-        policy = ExclusionPolicy(min_target_gap=gap)
-        return index.query(cat.states[row], k, policy, target_time=int(cat.times[row]))
-    found = index.query(cat.states[row], k + 1).without_self_match(index=row)
-    return AnalogSet(found.target, found.distances[:k], found.indices[:k])
-
-
 # ---------------------------------------------------------------------------
 # catalog generation
 
@@ -285,6 +270,9 @@ def run_theory_curves(
     out = _ensure_dir(out)
     k_list = tuple(int(k) for k in k_list)
     d_list = tuple(float(d) for d in d_list)
+    for d in d_list:
+        if not d > 0.0:
+            raise ValueError(f"dimension must be positive, got d={d:g}")
     parameters = {
         "out": str(out),
         "k_list": list(k_list),
@@ -358,10 +346,9 @@ def run_fit_target(out, catalog, target_index, n_analogs=40, exclusion_gap=0) ->
         "exclusion_gap": int(exclusion_gap),
     }
 
-    index = NeighborIndex(cat)
-    analogs = _query_analogs(index, cat, target_index, n_analogs, int(exclusion_gap))
-    est = estimate_local_dimension(analogs)
-    fit = fit_prefactor(analogs, est.dim, len(cat))
+    distances = NeighborIndex(cat).row_distances([target_index], n_analogs, int(exclusion_gap))[0]
+    est = estimate_local_dimension(distances)
+    fit = fit_prefactor(distances, est.dim, len(cat))
 
     ranks = np.arange(1, n_analogs + 1, dtype=np.float64)
     curve = fit.prefactor * ranks ** (1.0 / est.dim)
@@ -375,7 +362,7 @@ def run_fit_target(out, catalog, target_index, n_analogs=40, exclusion_gap=0) ->
             + ["fit-std"] * n_analogs
             + ["fit+std"] * n_analogs,
             "k": np.tile(ranks, 4),
-            "distance": np.concatenate([analogs.distances, curve, curve - band, curve + band]),
+            "distance": np.concatenate([distances, curve, curve - band, curve + band]),
         },
     )
     summary_csv = write_csv(
@@ -488,9 +475,10 @@ def run_mc_distances(
     def one_catalog(job):
         li, size, i = job
         sub = subsample_without_replacement(source, size, seed=seed + li * n_catalogs + i)
-        found = NeighborIndex(sub).query(target, k_top + 1).without_self_match()
-        trimmed = AnalogSet(found.target, found.distances[:k_top], found.indices[:k_top])
-        return estimate_local_dimension(trimmed).dim, trimmed.distances
+        # One query per subsample: a scan costs less than building a k-d tree.
+        found = NeighborIndex(sub, backend="exhaustive").query(target, k_top + 1).without_self_match()
+        distances = found.distances[:k_top]
+        return estimate_local_dimension(distances).dim, distances
 
     jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -639,19 +627,18 @@ def run_rescaled_density(
         "seed": int(seed),
     }
 
-    index = NeighborIndex(cat)
     rng = np.random.default_rng(int(seed))
     picks = np.sort(rng.choice(len(cat), size=min(n_targets, len(cat)), replace=False))
+    distances = NeighborIndex(cat).row_distances(picks, n_analogs_dim, int(exclusion_gap))
     dims = np.empty(len(picks))
     prefs = np.empty(len(picks))
     u_rows = np.empty((len(picks), k_max))
-    for j, row in enumerate(picks):
-        analogs = _query_analogs(index, cat, int(row), n_analogs_dim, int(exclusion_gap))
-        est = estimate_local_dimension(analogs)
-        fit = fit_prefactor(analogs, est.dim, len(cat))
+    for j, r in enumerate(distances):
+        est = estimate_local_dimension(r)
+        fit = fit_prefactor(r, est.dim, len(cat))
         dims[j] = est.dim
         prefs[j] = fit.prefactor
-        u_rows[j] = rescale_distances(analogs, est.dim, fit.prefactor)[:k_max]
+        u_rows[j] = rescale_distances(r, est.dim, fit.prefactor)[:k_max]
     dbar = float(dims.mean())
 
     targets_csv = write_csv(
@@ -718,7 +705,8 @@ def run_dmax_scan(
     seed=0,
     rmsd_pairs=50_000,
 ) -> ExperimentResult:
-    """Scan EOF truncations against the analog-quality criterion per rank."""
+    """Scan EOF truncations against the analog-quality criterion per rank,
+    all ranks in one scan."""
     out = _ensure_dir(out)
     cat = load_catalog(catalog)
     data = cat.states
@@ -752,28 +740,17 @@ def run_dmax_scan(
     }
     boundary_cols = {"series": [], "k": [], "dmax": []}
     summary = []
-    for k in k_list:
-        criterion = ReductionCriterion(
-            epsilon=float(epsilon), rank=k, l_eff=l_eff, rho_bar=float(rho_bar)
-        )
-        rows = criterion_scan(
-            data,
-            criterion,
-            eof_counts,
-            n_analogs=int(n_analogs),
-            n_targets=int(n_targets),
-            seed=int(seed),
-            rmsd_pairs=int(rmsd_pairs),
-        )
+    criteria = [
+        ReductionCriterion(epsilon=float(epsilon), rank=k, l_eff=l_eff, rho_bar=float(rho_bar))
+        for k in k_list
+    ]
+    scans = criterion_scan(data, criteria, eof_counts, n_analogs=int(n_analogs),
+                           n_targets=int(n_targets), seed=int(seed), rmsd_pairs=int(rmsd_pairs))
+    for k, rows in zip(k_list, scans):
         label = f"k={k}"
         for row in rows:
-            scan_cols["series"].append(label)
-            scan_cols["k"].append(k)
-            scan_cols["n_eof"].append(row.n_eof)
-            scan_cols["mean_dim"].append(row.mean_dim)
-            scan_cols["ratio"].append(row.ratio)
-            scan_cols["passed"].append(row.passed)
-            scan_cols["dmax_theory"].append(row.dmax_theory)
+            for key, value in {"series": label, "k": k, **vars(row)}.items():
+                scan_cols[key].append(value)
         passing = [row.n_eof for row in rows if row.passed]
         empirical = float(max(passing)) if passing else math.nan
         boundary_cols["series"].extend(["empirical", "theory"])
@@ -929,12 +906,9 @@ def run_dim_stats(
         "hist_bins": int(hist_bins),
     }
 
-    index = NeighborIndex(cat)
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
-    dims = np.empty(len(picks))
-    for j, row in enumerate(picks):
-        analogs = _query_analogs(index, cat, int(row), n_analogs, int(exclusion_gap))
-        dims[j] = estimate_local_dimension(analogs).dim
+    distances = NeighborIndex(cat).row_distances(picks, n_analogs, int(exclusion_gap))
+    dims = np.array([estimate_local_dimension(r).dim for r in distances])
     tvals = cat.times[picks]
 
     dims_csv = write_csv(

@@ -48,12 +48,9 @@ class AnalogSet:
     def __len__(self) -> int:
         return len(self.distances)
 
-    def without_self_match(self, index: int | None = None) -> "AnalogSet":
-        """Drop the target itself: entries at zero distance, or a given row index."""
-        if index is None:
-            keep = self.distances > 0.0
-        else:
-            keep = self.indices != index
+    def without_self_match(self) -> "AnalogSet":
+        """Drop the target itself: entries at zero distance."""
+        keep = self.distances > 0.0
         return AnalogSet(self.target, self.distances[keep], self.indices[keep])
 
 
@@ -174,6 +171,26 @@ class NeighborIndex:
             if len(idx) >= L:
                 raise NotEnoughAnalogsError(n_analogs, len(kept_idx))
             m = min(L, max(2 * m, m + n_analogs - len(kept_idx)))
+
+    def row_distances(self, rows, n_analogs: int, gap: int = 0) -> np.ndarray:
+        """(len(rows), n_analogs) distances from each catalog row to its
+        nearest admissible rows, never counting the row itself. A positive gap
+        applies temporal exclusion, which drops the row (time offset zero);
+        otherwise the row is dropped by index, so an exact duplicate counts."""
+        if n_analogs < 1:
+            raise ValueError("n_analogs must be >= 1")
+        if gap > 0 and self.catalog.times is None:
+            raise ValueError("temporal exclusion needs catalog times")
+        policy = ExclusionPolicy(min_target_gap=gap)
+        out = np.empty((len(rows), n_analogs))
+        for j, row in enumerate(rows):
+            z = self.catalog.states[row]
+            if gap > 0:
+                out[j] = self.query(z, n_analogs, policy, target_time=int(self.catalog.times[row])).distances
+            else:
+                found = self.query(z, n_analogs + 1)
+                out[j] = found.distances[found.indices != row][:n_analogs]
+        return out
 
     def query_radius(
         self,

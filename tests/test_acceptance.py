@@ -258,12 +258,18 @@ def test_08_dimension_budget_boundary_scaling():
     eps = 0.12
     counts = tuple(range(2, 13))
 
+    ranks = (1, 2, 4, 8, 16, 32, 64, 128)
+    scans = criterion_scan(
+        data,
+        [ReductionCriterion(epsilon=eps, rank=rank, l_eff=n) for rank in ranks],
+        counts,
+        n_analogs=40,
+        n_targets=200,
+        seed=0,
+        rmsd_pairs=50_000,
+    )
     points = []
-    for rank in (1, 2, 4, 8, 16, 32, 64, 128):
-        crit = ReductionCriterion(epsilon=eps, rank=rank, l_eff=n)
-        rows = criterion_scan(
-            data, crit, counts, n_analogs=40, n_targets=200, seed=0, rmsd_pairs=50_000
-        )
+    for rank, rows in zip(ranks, scans):
         ratios = np.array([r.ratio for r in rows])
         above = ratios > eps
         if above.all() or not above.any() or int(np.argmax(above)) == 0:

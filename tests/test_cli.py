@@ -4,6 +4,7 @@
 """
 
 import argparse
+import importlib.util
 import inspect
 import json
 import subprocess
@@ -105,6 +106,23 @@ class TestParsing:
             assert required == {n for n, p in params.items() if p.default is p.empty}, command
 
 
+@pytest.mark.parametrize(
+    "script", sorted((_ROOT / "scripts").glob("run_*_pipeline.py")), ids=lambda p: p.stem
+)
+def test_pipeline_steps_bind_to_their_runners(script):
+    # Parsing touches no file, so every step is checked without running it:
+    # a renamed flag exits 2 here, a renamed runner keyword fails to bind.
+    spec = importlib.util.spec_from_file_location(script.stem, script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    steps = module.steps(Path("results"))
+    assert steps
+    for argv in steps:
+        kwargs = vars(build_parser().parse_args(argv))
+        runner = experiments.RUNNERS[kwargs.pop("command")][0]
+        inspect.signature(runner).bind(**kwargs)
+
+
 class TestExitCodes:
     def test_success_prints_summary_and_manifest(self, tmp_path, capsys):
         code = main(
@@ -176,6 +194,33 @@ class TestExitCodes:
         assert code == 2
         assert "n_targets must be >= 1" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("d", ["0", "-1.5"])
+    def test_theory_curves_with_non_positive_dimension_exits_2(self, d, tmp_path, capsys):
+        out = tmp_path / "theory"
+        code = main(["theory-curves", "--d-list", f"2,{d}", "--out", str(out)])
+        assert code == 2
+        assert f"dimension must be positive, got d={float(d):g}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--n-targets", "0", "--k-list", "1,5"], "n_targets must be >= 1"),
+            # The default k-list reaches rank 100; 2000 rows give L_eff = 83.
+            ([], "rank 100 exceeds the effective catalog size L_eff = 83"),
+        ],
+        ids=["no-targets", "rank-above-l-eff"],
+    )
+    def test_dmax_scan_rejects_request_before_writing(self, extra, message, tmp_path, capsys):
+        catalog = tmp_path / "sur.anacat"
+        experiments.run_gen_surrogate(catalog, modes=2, grid=8, n=2000, seed=4)
+        out = tmp_path / "dmax"
+        code = main(["dmax-scan", "--catalog", str(catalog), "--epsilon", "0.4", *extra,
+                     "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_missing_catalog_exits_4(self, tmp_path, capsys):
         code = main(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from analogdist import dimred
 from analogdist.dimred import (
     EofBasis,
     ReductionCriterion,
@@ -261,7 +262,7 @@ def decaying_catalog():
 
 def test_scan_on_decaying_spectrum(decaying_catalog):
     crit = ReductionCriterion(epsilon=0.35, rank=25)
-    rows = criterion_scan(decaying_catalog, crit, (1, 2, 4, 8, 12), n_targets=120, seed=0)
+    [rows] = criterion_scan(decaying_catalog, [crit], (1, 2, 4, 8, 12), n_targets=120, seed=0)
     assert [r.n_eof for r in rows] == [1, 2, 4, 8, 12]
     ratios = [r.ratio for r in rows]
     assert_allclose(
@@ -283,7 +284,7 @@ def test_scan_on_decaying_spectrum(decaying_catalog):
 
 def test_scan_all_pass_when_tolerance_huge(decaying_catalog):
     crit = ReductionCriterion(epsilon=1.0, rank=25)
-    rows = criterion_scan(decaying_catalog, crit, (2, 12), n_targets=40, seed=3)
+    [rows] = criterion_scan(decaying_catalog, [crit], (2, 12), n_targets=40, seed=3)
     assert all(r.passed for r in rows)
     assert rows[0].dmax_theory == math.inf
 
@@ -291,13 +292,43 @@ def test_scan_all_pass_when_tolerance_huge(decaying_catalog):
 def test_scan_validation(decaying_catalog):
     crit = ReductionCriterion(epsilon=0.3)
     with pytest.raises(ValueError):
-        criterion_scan(decaying_catalog, crit, ())
+        criterion_scan(decaying_catalog, [crit], ())
     with pytest.raises(ValueError):
-        criterion_scan(decaying_catalog, crit, (0, 2))
+        criterion_scan(decaying_catalog, [crit], (0, 2))
     with pytest.raises(ValueError):
-        criterion_scan(decaying_catalog, crit, (1, 13))
+        criterion_scan(decaying_catalog, [crit], (1, 13))
     with pytest.raises(ValueError):
-        criterion_scan(np.ones((30, 4)) * np.arange(30)[:, None], crit, (1,), n_analogs=40)
+        criterion_scan(np.ones((30, 4)) * np.arange(30)[:, None], [crit], (1,), n_analogs=40)
+
+
+@pytest.mark.parametrize("width,counts", [(12, (2, 5, 12)), (26, (3, 21, 26))])
+def test_scan_of_several_criteria_equals_scans_of_each(width, counts):
+    # Truncations up to 20 search with the k-d tree, wider ones exhaustively;
+    # rank 100 makes the shared query 2.5 times as long as a lone rank-25 one.
+    rng = np.random.default_rng(width)
+    data = rng.normal(size=(1200, width)) * 0.8 ** np.arange(width)
+    criteria = [ReductionCriterion(epsilon=0.3, rank=r, l_eff=1200) for r in (1, 5, 25, 100)]
+    scans = criterion_scan(data, criteria, counts, n_targets=40, seed=2, rmsd_pairs=5000)
+    assert len(scans) == len(criteria)
+    for crit, rows in zip(criteria, scans):
+        [alone] = criterion_scan(data, [crit], counts, n_targets=40, seed=2, rmsd_pairs=5000)
+        assert rows == alone
+
+
+def test_scan_rejects_bad_requests_before_fitting(decaying_catalog, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("eof_fit ran before the request was validated")
+
+    monkeypatch.setattr(dimred, "eof_fit", fail)
+    crit = ReductionCriterion(epsilon=0.3, rank=5)
+    with pytest.raises(ValueError, match="criteria must be non-empty"):
+        criterion_scan(decaying_catalog, [], (1, 2))
+    with pytest.raises(ValueError, match="n_targets must be >= 1"):
+        criterion_scan(decaying_catalog, [crit], (1, 2), n_targets=0)
+    # 4000 rows default to L_eff = 4000 // 24 = 166.
+    too_far = ReductionCriterion(epsilon=0.3, rank=200)
+    with pytest.raises(ValueError, match="rank 200 .*L_eff = 166"):
+        criterion_scan(decaying_catalog, [crit, too_far], (1, 2), n_analogs=10)
 
 
 def test_reduction_criterion_validation():

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from analogdist import experiments
+from analogdist import dimred, experiments
 from analogdist.catalog import load_catalog
 from analogdist.clustering import GmmModel
 from analogdist.experiments import CSV_SCHEMA, RUNNERS, worker_count, write_csv
@@ -343,6 +343,21 @@ class TestDmaxScan:
         _assert_svg(tmp_path / "ratio.svg")
         _assert_svg(tmp_path / "boundary.svg")
         _assert_manifest_clean(tmp_path)
+
+    def test_one_fit_serves_every_rank(self, small_surrogate, tmp_path, monkeypatch):
+        real, calls = dimred.eof_fit, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dimred, "eof_fit", counting)
+        experiments.run_dmax_scan(
+            tmp_path, small_surrogate, epsilon=0.5, k_list=(1, 4, 9), eof_counts=(1, 3),
+            n_analogs=10, n_targets=20, rmsd_pairs=2000,
+        )
+        assert len(calls) == 1
+        assert set(_columns(tmp_path / "scan.csv")["k"]) == {"1", "4", "9"}
 
     def test_no_usable_counts(self, small_surrogate, tmp_path):
         with pytest.raises(ValueError, match="eof_counts"):

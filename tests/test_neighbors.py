@@ -211,6 +211,57 @@ def test_policy_query_takes_one_exclusion_round(backend, monkeypatch):
         _assert_close_to_oracle(found, dist[admissible][:k], order[admissible][:k])
 
 
+# ----------------------------------------------------------- row distances
+
+
+def _catalog_with_duplicate():
+    # Row 30 repeats row 7, far apart in time: for row 7 the nearest other
+    # row sits at distance zero, so dropping the row by index keeps it where
+    # dropping zero distances would not.
+    rng = np.random.default_rng(23)
+    states = np.cumsum(rng.normal(size=(300, 3)), axis=0)
+    states[30] = states[7]
+    return Catalog(states, np.arange(0, 600, 2, dtype=np.int64))
+
+
+@pytest.mark.parametrize("gap", [0, 5])
+@pytest.mark.parametrize("backend", ["kdtree", "exhaustive"])
+def test_row_distances_equal_stacked_queries(backend, gap):
+    cat = _catalog_with_duplicate()
+    index = NeighborIndex(cat, backend=backend)
+    rows, k = np.array([7, 30, 0, 151, 299]), 12
+    got = index.row_distances(rows, k, gap)
+    assert got.shape == (len(rows), k)
+    for row, dist in zip(rows, got):
+        oracle, order = _brute_force(cat.states, cat.states[row], len(cat))
+        if gap:
+            policy = ExclusionPolicy(min_target_gap=gap)
+            expected = index.query(cat.states[row], k, policy, target_time=int(cat.times[row])).distances
+            admissible = np.abs(cat.times[order] - cat.times[row]) >= gap
+        else:
+            found = index.query(cat.states[row], len(cat))
+            expected = found.distances[found.indices != row][:k]
+            admissible = order != row
+        np.testing.assert_array_equal(dist, expected)
+        np.testing.assert_allclose(dist, oracle[admissible][:k], rtol=1e-12, atol=1e-15)
+    # Rows 7 and 30 each count the other at distance zero.
+    assert got[0, 0] == got[1, 0] == 0.0
+    assert (got[2:] > 0.0).all()
+
+
+def test_row_distances_validation():
+    index = NeighborIndex(Catalog(np.arange(20.0).reshape(10, 2)))
+    with pytest.raises(ValueError, match="n_analogs"):
+        index.row_distances([0], 0)
+    with pytest.raises(ValueError, match="times"):
+        index.row_distances([0], 3, gap=2)
+    with pytest.raises(ValueError):
+        index.row_distances([0], 3, gap=-1)
+    with pytest.raises(NotEnoughAnalogsError):
+        index.row_distances([0], 10)
+    assert index.row_distances([], 3).shape == (0, 3)
+
+
 def test_policy_exhaustion_reports_admissible_count():
     c = _timed_catalog()
     index = NeighborIndex(c)
@@ -286,13 +337,6 @@ def test_analog_set_self_match_removal():
     trimmed = aset.without_self_match()
     np.testing.assert_array_equal(trimmed.distances, [0.5, 0.7])
     np.testing.assert_array_equal(trimmed.indices, [9, 4])
-
-
-def test_analog_set_self_match_removal_by_index():
-    z = np.array([0.0])
-    aset = AnalogSet(z, np.array([0.2, 0.5]), np.array([7, 1]))
-    trimmed = aset.without_self_match(index=1)
-    np.testing.assert_array_equal(trimmed.indices, [7])
 
 
 def test_analog_set_requires_sorted_distances():

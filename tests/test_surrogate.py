@@ -73,10 +73,8 @@ def test_local_dimension_tracks_mode_count():
     cat = traveling_modes_surrogate(2, n_grid=16, n_samples=20_000, seed=5)
     index = NeighborIndex(cat)
     rng = np.random.default_rng(6)
-    dims = []
-    for t in rng.choice(len(cat), size=50, replace=False):
-        analogs = index.query(cat.states[t], 41).without_self_match(index=int(t))
-        dims.append(estimate_local_dimension(analogs.distances[:40]).dim)
+    distances = index.row_distances(rng.choice(len(cat), size=50, replace=False), 40)
+    dims = [estimate_local_dimension(r).dim for r in distances]
     assert 1.4 < float(np.mean(dims)) < 2.8
 
 
