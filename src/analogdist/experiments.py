@@ -97,6 +97,14 @@ def worker_count() -> int:
 
 
 def _cell(value) -> str:
+    # Exact-type checks first: after .tolist() nearly every cell is one of these.
+    kind = type(value)
+    if kind is float:
+        return "" if math.isnan(value) else repr(value)
+    if kind is str:
+        return value
+    if kind is int:
+        return str(value)
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
@@ -115,15 +123,16 @@ def write_csv(path, name: str, columns: dict) -> Path:
     Floats are rendered with repr (shortest round-trip form) and NaN as an
     empty cell, so output bytes are a pure function of the values.
     """
-    cols = {key: list(values) for key, values in columns.items()}
-    lengths = {len(v) for v in cols.values()}
-    if len(lengths) != 1:
+    cols = {
+        key: values.tolist() if isinstance(values, np.ndarray) and values.ndim == 1 else list(values)
+        for key, values in columns.items()
+    }
+    if len({len(v) for v in cols.values()}) != 1:
         raise ValueError("CSV columns must all have the same length")
     buf = io.StringIO()
     writer = _csvmod.writer(buf, lineterminator="\n")
     writer.writerow(cols.keys())
-    for i in range(lengths.pop()):
-        writer.writerow([_cell(v[i]) for v in cols.values()])
+    writer.writerows(zip(*[list(map(_cell, col)) for col in cols.values()]))
     path = Path(path)
     path.write_text(f"# {CSV_SCHEMA} {name}\n" + buf.getvalue(), encoding="utf-8")
     return path
@@ -333,7 +342,7 @@ def run_theory_curves(
 def run_fit_target(out, catalog, target_index, n_analogs=40, exclusion_gap=0) -> ExperimentResult:
     """Fit the power-law distance profile r_k ~ C k^(1/d) at one target."""
     out = _ensure_dir(out)
-    cat = load_catalog(catalog)
+    cat = _with_times(load_catalog(catalog))
     target_index = int(target_index)
     n_analogs = int(n_analogs)
     if not 0 <= target_index < len(cat):
@@ -936,12 +945,9 @@ def run_dim_stats(
 
     weeks = tvals // (7 * steps_per_day)
     uniq_weeks, w_inverse = np.unique(weeks, return_inverse=True)
-    q10 = np.empty(len(uniq_weeks))
-    q90 = np.empty(len(uniq_weeks))
-    for wi in range(len(uniq_weeks)):
-        block = dims[w_inverse == wi]
-        q10[wi] = np.quantile(block, 0.10)
-        q90[wi] = np.quantile(block, 0.90)
+    q10, q90 = np.array(
+        [np.quantile(dims[w_inverse == wi], (0.10, 0.90)) for wi in range(len(uniq_weeks))]
+    ).T
     weekly_csv = write_csv(
         out / "weekly.csv",
         "dim-weekly-spread",

@@ -39,14 +39,16 @@ def read_csv_columns(csv_text: str) -> dict[str, list[str]]:
     lines = [ln for ln in csv_text.splitlines() if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("no CSV rows to plot")
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
-    columns: dict[str, list[str]] = {name: [] for name in reader.fieldnames or ()}
-    if not columns:
+    reader = csv.reader(io.StringIO("\n".join(lines)))
+    header = next(reader, [])
+    # As csv.DictReader: header order of first appearance, the last duplicate's
+    # cells, short rows padded with "", extra cells ignored, empty rows skipped.
+    position = {name: j for j, name in enumerate(header)}
+    if not position:
         raise ValueError("CSV has no header row")
-    for row in reader:
-        for name in columns:
-            columns[name].append(row.get(name) or "")
-    return columns
+    width = len(header)
+    rows = [row + [""] * (width - len(row)) for row in reader if row]
+    return {name: [row[j] for row in rows] for name, j in position.items()}
 
 
 def _to_float(cell: str) -> float:
@@ -90,17 +92,18 @@ def _collect_series(columns, x, y_cols, group):
     for name in (x, *y_cols) + (() if group is None else (group,)):
         if name not in columns:
             raise ValueError(f"column {name!r} not in CSV header")
+    xs = [_to_float(cell) for cell in columns[x]]
+    ys = {y: [_to_float(cell) for cell in columns[y]] for y in y_cols}
+    labels = columns[group] if group is not None else None
     series: dict[str, list[tuple[float, float]]] = {}
-    n = len(columns[x])
-    for i in range(n):
-        xv = _to_float(columns[x][i])
+    for i, xv in enumerate(xs):
         if not math.isfinite(xv):
             continue
         for y in y_cols:
-            yv = _to_float(columns[y][i])
+            yv = ys[y][i]
             if not math.isfinite(yv):
                 continue
-            label = columns[group][i] if group is not None else y
+            label = labels[i] if labels is not None else y
             series.setdefault(label, []).append((xv, yv))
     series = {k: v for k, v in series.items() if v}
     if not series:

@@ -19,6 +19,8 @@ from analogdist import __version__, experiments
 from analogdist.catalog import Catalog, save_catalog
 from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
+from analogdist.neighbors import NeighborIndex
+from analogdist.svgplot import read_csv_columns
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -194,6 +196,24 @@ class TestExitCodes:
         assert code == 2
         assert "n_targets must be >= 1" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
+
+    def test_fit_target_numbers_a_catalog_without_times(self, tmp_path, capsys):
+        # Like dim-stats, fit-target gives a timeless catalog the times 0..L-1,
+        # so temporal exclusion works on it.
+        states = np.random.default_rng(5).normal(size=(300, 3))
+        path = tmp_path / "timeless.anacat"
+        save_catalog(Catalog(states), path)
+        gap = ["--exclusion-gap", "3"]
+        code = main(["dim-stats", "--catalog", str(path), "--n-targets", "20", *gap,
+                     "--out", str(tmp_path / "ds")])
+        assert code == 0, capsys.readouterr().err
+        code = main(["fit-target", "--catalog", str(path), "--target-index", "150", "--K", "30",
+                     *gap, "--out", str(tmp_path / "fit")])
+        assert code == 0, capsys.readouterr().err
+        cols = read_csv_columns((tmp_path / "fit" / "fit.csv").read_text())
+        observed = [float(d) for s, d in zip(cols["series"], cols["distance"]) if s == "observed"]
+        numbered = NeighborIndex(Catalog(states, np.arange(300)))
+        assert observed == numbered.row_distances([150], 30, 3)[0].tolist()
 
     @pytest.mark.parametrize("d", ["0", "-1.5"])
     def test_theory_curves_with_non_positive_dimension_exits_2(self, d, tmp_path, capsys):

@@ -5,6 +5,8 @@ are structural (files exist, schemas hold, hashes verify, reruns are
 bit-identical) rather than statistical, which the acceptance suite covers.
 """
 
+import csv
+import io
 import json
 import math
 import os
@@ -83,6 +85,55 @@ class TestWriteCsv:
     def test_ragged_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="same length"):
             write_csv(tmp_path / "t.csv", "demo", {"a": [1], "b": [1, 2]})
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {
+                "f": np.array([0.1, -0.0, math.nan, 1e300, -1e-17, math.inf, 1.0 / 3.0]),
+                "i": np.array([0, -3, 2**40, 7, 1, 2, 3], dtype=np.int64),
+                "b": np.array([True, False, True, True, False, False, True]),
+                "f32": np.array([0.1, 2.5, math.nan, 1e-3, 7, 8, 9], dtype=np.float32),
+            },
+            {
+                "mixed": [None, math.nan, np.float64(0.1), np.int64(-5), np.bool_(True), 2.5, 3],
+                "flags": [np.bool_(False), True, False, None, np.float64(math.nan), np.int32(4), -0.0],
+                "text": ["plain", "a,b", 'say "hi"', "", "x\ny", "  ", "#not a comment"],
+            },
+            {"empty": [], "also_empty": np.array([], dtype=np.float64)},
+            {"grid": range(4), "pairs": (1.5, math.nan, np.float32(0.25), np.uint8(200))},
+        ],
+        ids=["ndarrays", "mixed-lists", "zero-length", "other-sequences"],
+    )
+    def test_bytes_equal_per_cell_reference(self, tmp_path, columns):
+        path = write_csv(tmp_path / "t.csv", "demo", columns)
+        assert path.read_bytes() == _reference_csv("demo", columns)
+
+
+def _reference_cell(value) -> str:
+    # The per-cell formatting rule of write_csv, kept verbatim as an oracle.
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        return "" if math.isnan(v) else repr(v)
+    return str(value)
+
+
+def _reference_csv(name: str, columns: dict) -> bytes:
+    """write_csv's bytes, produced one row and one cell at a time."""
+    cols = {key: list(values) for key, values in columns.items()}
+    (n,) = {len(v) for v in cols.values()}
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols.keys())
+    for i in range(n):
+        writer.writerow([_reference_cell(v[i]) for v in cols.values()])
+    return (f"# {CSV_SCHEMA} {name}\n" + buf.getvalue()).encode("utf-8")
 
 
 class TestWorkerCount:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from analogdist import lorenz
 from analogdist.errors import NonFiniteError
 from analogdist.lorenz import L63Params, generate_trajectory
 
@@ -128,6 +129,32 @@ def test_seeding_controls_initial_jitter():
     c = generate_trajectory(n_steps=50, burn_in=100, seed=10)
     np.testing.assert_array_equal(a.states, b.states)
     assert not np.array_equal(a.states, c.states)
+
+
+def test_seeded_rk4_runs_in_python_floats(monkeypatch):
+    # A numpy scalar anywhere in the loop state (the jitter draw, a numpy dt
+    # or parameter) makes every stage numpy-scalar arithmetic: same values,
+    # several times slower. Every argument of every step must be a float.
+    inner = lorenz._rk4
+    calls = []
+
+    def checked(*args):
+        assert [type(a) for a in args] == [float] * 7, [type(a).__name__ for a in args]
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(lorenz, "_rk4", checked)
+    plain = generate_trajectory(n_steps=5, burn_in=10, stride=2, seed=3)
+    numpy_typed = generate_trajectory(
+        n_steps=5,
+        burn_in=10,
+        stride=2,
+        seed=3,
+        dt=np.float64(0.01),
+        params=L63Params(np.float64(10.0), np.float64(28.0), np.float64(8.0 / 3.0)),
+    )
+    assert len(calls) == 2 * (10 + 4 * 2)
+    np.testing.assert_array_equal(plain.states, numpy_typed.states)
 
 
 def test_unseeded_run_is_deterministic():

@@ -4,6 +4,8 @@ Coordinate assertions recompute the affine data-to-pixel map from the module
 margins, so they break if the layout constants drift.
 """
 
+import csv
+import io
 import math
 import xml.etree.ElementTree as ET
 
@@ -46,6 +48,35 @@ class TestReadCsvColumns:
     def test_no_rows_raises(self, text):
         with pytest.raises(ValueError, match="no CSV rows"):
             read_csv_columns(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b,c\n1,2\n3\n4,5,6\n",
+            "a,b\n1,2,3,4\n5,6\n7,8,9\n",
+            "a,b,a\n1,2,3\n4,5\n6\n7,8,9,10\n",
+            'name,v\n"x, y",1\n"say ""hi""",2\n",",\n',
+            "# schema line\nx,y\n# mid comment\n1,2\n\n3,4\n#tail\n",
+            "x,y,z\n,,\n1,,3\n,2,\n",
+            "a,a,a\n1,2\n3,4,5\n",
+        ],
+        ids=["short-rows", "long-rows", "duplicate-header", "quoted-commas",
+             "comment-lines", "blank-cells", "triple-duplicate"],
+    )
+    def test_equals_dict_reader_reference(self, text):
+        assert read_csv_columns(text) == _dict_reader_columns(text)
+
+
+def _dict_reader_columns(csv_text: str) -> dict[str, list[str]]:
+    """Reference parse through csv.DictReader: for each header name, the cell
+    DictReader maps to it in every row, with a missing cell read as ""."""
+    lines = [ln for ln in csv_text.splitlines() if ln and not ln.startswith("#")]
+    reader = csv.DictReader(io.StringIO("\n".join(lines)))
+    columns = {name: [] for name in reader.fieldnames}
+    for row in reader:
+        for name in columns:
+            columns[name].append(row.get(name) or "")
+    return columns
 
 
 class TestLinePlot:
