@@ -53,28 +53,6 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
-def _emit(result: experiments.ExperimentResult) -> int:
-    for line in result.summary:
-        print(line)
-    print(f"manifest: {result.manifest_path}")
-    return EXIT_OK
-
-
-def _cmd_rerun(manifest, out=None) -> int:
-    result, status = experiments.run_rerun(manifest, out=out)
-    for line in result.summary:
-        print(line)
-    clean = True
-    for rel in sorted(status):
-        ok = status[rel]
-        clean = clean and ok
-        print(f"{'ok      ' if ok else 'MISMATCH'} {rel}")
-    if not clean:
-        print("error: regenerated outputs differ from the manifest", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per entry of experiments.RUNNERS, plus rerun.
 
@@ -189,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output directory")
 
     g = command("rerun", "re-run an experiment from its manifest and verify hashes")
-    g.add_argument("manifest", help="manifest.json written by a previous run")
+    g.add_argument("manifest_path", metavar="manifest",
+                   help="manifest.json written by a previous run")
     g.add_argument("--out", help="regenerate outputs here instead of in place")
 
     return parser
@@ -200,8 +179,20 @@ def main(argv=None) -> int:
     command = kwargs.pop("command")
     try:
         if command == "rerun":
-            return _cmd_rerun(**kwargs)
-        return _emit(experiments.RUNNERS[command][0](**kwargs))
+            result, status = experiments.run_rerun(**kwargs)
+        else:
+            result, status = experiments.RUNNERS[command][0](**kwargs), None
+        for line in result.summary:
+            print(line)
+        if status is None:
+            print(f"manifest: {result.manifest_path}")
+            return EXIT_OK
+        for rel in sorted(status):
+            print(f"{'ok      ' if status[rel] else 'MISMATCH'} {rel}")
+        if not all(status.values()):
+            print("error: regenerated outputs differ from the manifest", file=sys.stderr)
+            return EXIT_NUMERIC
+        return EXIT_OK
     except (NonFiniteError, DegenerateDistancesError, CovarianceCollapseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -3,17 +3,24 @@
 Each driver takes its output location first, runs one self-contained
 experiment, writes versioned CSV artifacts plus minimal SVG renderings of
 them, and drops a manifest recording parameters, seeds, and output hashes.
-Drivers are deterministic functions of their arguments, so re-running from
-a manifest reproduces every artifact bit for bit. Monte Carlo work is
-spread over a thread pool (numpy and the k-d tree release the GIL) but
-merged in catalog-index order, keeping results independent of the worker
-count; ANALOG_DIST_THREADS sets the pool size, at most MAX_WORKERS. The
-cluster command fits its candidate x seed grid on the same pool size.
+A driver's signature is its record of parameters: each call is bound to it,
+defaults applied and every argument coerced to its annotation, and the
+manifest records the bound arguments. Drivers are deterministic functions
+of their arguments, so re-running from a manifest reproduces every
+artifact bit for bit; a manifest whose parameters do not bind to the
+signature (unknown, missing or uncoercible) raises FormatError before the
+driver runs. Monte Carlo work is spread over a thread pool (numpy and the
+k-d tree release the GIL) but merged in catalog-index order, keeping
+results independent of the worker count; ANALOG_DIST_THREADS sets the pool
+size, at most MAX_WORKERS. The cluster command fits its candidate x seed
+grid on the same pool size.
 """
 
 from __future__ import annotations
 
 import csv as _csvmod
+import functools
+import inspect
 import io
 import math
 import os
@@ -21,6 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
@@ -44,6 +52,7 @@ from .disttheory import (
     distance_variance,
     rescaled_pdf,
 )
+from .errors import FormatError
 from .lorenz import generate_trajectory
 from .manifest import build_manifest, load_manifest, save_manifest, verify_outputs
 from .neighbors import NeighborIndex
@@ -145,26 +154,71 @@ def _plot(csv_path: Path, svg_name: str, x, y, **style) -> Path:
     return svg
 
 
-def _ensure_dir(out) -> Path:
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _coerce(kind, value):
+    """Convert one argument to its annotated type.
+
+    Only `T | None` admits None; `tuple[T, ...]` takes any iterable but a
+    string; `Annotated[T, f]` applies f after converting to T (the rank
+    lists annotated with `sorted` are recorded in ascending order).
+    """
+    origin, args = get_origin(kind), get_args(kind)
+    if type(None) in args:
+        return None if value is None else _coerce(args[0], value)
+    if value is None:
+        raise TypeError(f"null where {inspect.formatannotation(kind)} is required")
+    if origin is Annotated:
+        return _coerce(args[0], args[1](_coerce(args[0], value)))
+    if origin is tuple:
+        if isinstance(value, str):
+            raise TypeError(f"string {value!r} where {inspect.formatannotation(kind)} is required")
+        return tuple(_coerce(args[0], v) for v in value)
+    return kind(value)
 
 
-def _sidecar(out: Path) -> Path:
-    return Path(str(out) + ".manifest.json")
+def _arguments(func, *args, **kwargs) -> dict:
+    """Bind a call to a driver's signature, with defaults, each argument coerced."""
+    signature = inspect.signature(func, eval_str=True)
+    bound = signature.bind(*args, **kwargs)
+    bound.apply_defaults()
+    return {k: _coerce(signature.parameters[k].annotation, v) for k, v in bound.arguments.items()}
 
 
-def _finish(command, parameters, outputs, manifest_path, summary) -> ExperimentResult:
-    manifest_path = Path(manifest_path)
-    manifest = build_manifest(command, parameters, outputs, base_dir=manifest_path.parent)
-    save_manifest(manifest, manifest_path)
-    return ExperimentResult(
-        command=command,
-        outputs=tuple(Path(p) for p in outputs),
-        manifest_path=manifest_path,
-        summary=tuple(summary),
-    )
+# command -> (driver, kind), filled in by _driver as each driver is defined.
+RUNNERS = {}
+
+
+def _driver(command: str, kind: str):
+    """Register a driver body in RUNNERS as `command`, inside the frame all runs share.
+
+    The wrapper binds the call with _arguments and records the typed
+    arguments as the manifest's parameters: `out` becomes a Path, so it is
+    recorded normalised, while catalogs stay the strings given. It creates
+    the manifest's directory, which is `out` for a "dir" driver and the
+    parent of `out` for a "file" driver (whose manifest is
+    `<out>.manifest.json`), runs the body on the typed arguments, and
+    writes the manifest. The body returns its outputs and summary lines;
+    dmax-scan adds the parameters it records in place of the requested
+    ones, because which EOF counts a catalog can hold is known only once
+    it is loaded.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(*args, **kwargs) -> ExperimentResult:
+            parameters = _arguments(body, *args, **kwargs)
+            out = parameters["out"]
+            manifest_path = out / "manifest.json" if kind == "dir" else Path(f"{out}.manifest.json")
+            manifest_path.parent.mkdir(parents=True, exist_ok=True)
+            outputs, summary, *recorded = body(**parameters)
+            parameters.update(*recorded)
+            manifest = build_manifest(command, parameters, outputs, base_dir=manifest_path.parent)
+            save_manifest(manifest, manifest_path)
+            return ExperimentResult(command, tuple(outputs), manifest_path, tuple(summary))
+
+        RUNNERS[command] = (run, kind)
+        return run
+
+    return register
 
 
 def _with_times(cat: Catalog) -> Catalog:
@@ -189,19 +243,17 @@ def _unit_params(rank: int, dim: float, catalog_size: int) -> DistParams:
 # catalog generation
 
 
-def run_gen_l63(out, n=20_000, dt=0.01, burn_in=10_000, stride=1, seed=None) -> ExperimentResult:
+@_driver("gen-l63", "file")
+def run_gen_l63(
+    out: Path,
+    n: int = 20_000,
+    dt: float = 0.01,
+    burn_in: int = 10_000,
+    stride: int = 1,
+    seed: int | None = None,
+) -> ExperimentResult:
     """Integrate the three-variable convection system and save the samples."""
-    out = Path(out)
-    _ensure_dir(out.parent)
-    parameters = {
-        "out": str(out),
-        "n": int(n),
-        "dt": float(dt),
-        "burn_in": int(burn_in),
-        "stride": int(stride),
-        "seed": None if seed is None else int(seed),
-    }
-    traj = generate_trajectory(n_steps=int(n), dt=dt, burn_in=int(burn_in), stride=int(stride), seed=seed)
+    traj = generate_trajectory(n_steps=n, dt=dt, burn_in=burn_in, stride=stride, seed=seed)
     cat = Catalog(
         states=traj.states,
         times=np.arange(len(traj.states), dtype=np.int64),
@@ -216,58 +268,48 @@ def run_gen_l63(out, n=20_000, dt=0.01, burn_in=10_000, stride=1, seed=None) -> 
         "coordinate mean/std: "
         + "  ".join(f"{m:.3f}/{s:.3f}" for m, s in zip(mean, std)),
     ]
-    return _finish("gen-l63", parameters, [out], _sidecar(out), summary)
+    return [out], summary
 
 
+@_driver("gen-surrogate", "file")
 def run_gen_surrogate(
-    out,
-    modes,
-    grid=64,
-    n=30_000,
-    noise=1e-3,
-    seed=0,
-    components=1,
-    decay=0.85,
+    out: Path,
+    modes: int,
+    grid: int = 64,
+    n: int = 30_000,
+    noise: float = 1e-3,
+    seed: int = 0,
+    components: int = 1,
+    decay: float = 0.85,
 ) -> ExperimentResult:
     """Save a traveling-modes surrogate catalog with known effective dimension."""
-    out = Path(out)
-    _ensure_dir(out.parent)
-    parameters = {
-        "out": str(out),
-        "modes": int(modes),
-        "grid": int(grid),
-        "n": int(n),
-        "noise": float(noise),
-        "seed": int(seed),
-        "components": int(components),
-        "decay": float(decay),
-    }
     cat = traveling_modes_surrogate(
-        int(modes),
-        n_grid=int(grid),
-        n_samples=int(n),
-        noise=float(noise),
-        seed=int(seed),
-        n_components=int(components),
-        amplitude_decay=float(decay),
+        modes,
+        n_grid=grid,
+        n_samples=n,
+        noise=noise,
+        seed=seed,
+        n_components=components,
+        amplitude_decay=decay,
     )
     save_catalog(cat, out)
     summary = [
         f"wrote {out}: L={cat.length} D={cat.dim} ({modes} modes, decay {decay:g}, noise {noise:g})",
     ]
-    return _finish("gen-surrogate", parameters, [out], _sidecar(out), summary)
+    return [out], summary
 
 
 # ---------------------------------------------------------------------------
 # theory curves
 
 
+@_driver("theory-curves", "dir")
 def run_theory_curves(
-    out,
-    k_list=(1, 5, 30),
-    d_list=(1.3, 2.0, 5.0),
-    catalog_size=100_000,
-    grid_points=_DENSITY_GRID,
+    out: Path,
+    k_list: tuple[int, ...] = (1, 5, 30),
+    d_list: tuple[float, ...] = (1.3, 2.0, 5.0),
+    catalog_size: int = 100_000,
+    grid_points: int = _DENSITY_GRID,
 ) -> ExperimentResult:
     """Tabulate rank-distance densities in catalog-size-free coordinates.
 
@@ -276,31 +318,21 @@ def run_theory_curves(
     their maximum so curves of different rank share one vertical scale.
     Mean, approximate mean, and mode markers are tabulated alongside.
     """
-    out = _ensure_dir(out)
-    k_list = tuple(int(k) for k in k_list)
-    d_list = tuple(float(d) for d in d_list)
     for d in d_list:
         if not d > 0.0:
             raise ValueError(f"dimension must be positive, got d={d:g}")
-    parameters = {
-        "out": str(out),
-        "k_list": list(k_list),
-        "d_list": list(d_list),
-        "catalog_size": int(catalog_size),
-        "grid_points": int(grid_points),
-    }
 
     series, d_col, k_col, x_col, y_col = [], [], [], [], []
     marker_cols = {"d": [], "k": [], "mean": [], "mean_approx": [], "mode": []}
     for d in d_list:
         x_max = 0.0
         for k in k_list:
-            unit = _unit_params(k, d, int(catalog_size))
+            unit = _unit_params(k, d, catalog_size)
             x_max = max(x_max, distance_mean(unit) + 5.0 * math.sqrt(distance_variance(unit)))
-        grid = np.linspace(0.0, x_max, int(grid_points))
+        grid = np.linspace(0.0, x_max, grid_points)
         to_r = float(catalog_size) ** (-1.0 / d)
         for k in k_list:
-            p = DistParams(rank=k, dim=d, catalog_size=int(catalog_size))
+            p = DistParams(rank=k, dim=d, catalog_size=catalog_size)
             pdf = np.asarray(distance_pdf(grid * to_r, p))
             finite = np.isfinite(pdf)
             top = pdf[finite].max()
@@ -330,32 +362,23 @@ def run_theory_curves(
         f"tabulated {len(k_list) * len(d_list)} curves on {grid_points}-point grids",
         f"wrote {curves.name}, {markers.name}, {svg.name} in {out}",
     ]
-    return _finish(
-        "theory-curves", parameters, [curves, markers, svg], out / "manifest.json", summary
-    )
+    return [curves, markers, svg], summary
 
 
 # ---------------------------------------------------------------------------
 # single-target fit
 
 
-def run_fit_target(out, catalog, target_index, n_analogs=40, exclusion_gap=0) -> ExperimentResult:
+@_driver("fit-target", "dir")
+def run_fit_target(
+    out: Path, catalog: str, target_index: int, n_analogs: int = 40, exclusion_gap: int = 0
+) -> ExperimentResult:
     """Fit the power-law distance profile r_k ~ C k^(1/d) at one target."""
-    out = _ensure_dir(out)
     cat = _with_times(load_catalog(catalog))
-    target_index = int(target_index)
-    n_analogs = int(n_analogs)
     if not 0 <= target_index < len(cat):
         raise ValueError(f"target_index {target_index} outside catalog of length {len(cat)}")
-    parameters = {
-        "out": str(out),
-        "catalog": str(catalog),
-        "target_index": target_index,
-        "n_analogs": n_analogs,
-        "exclusion_gap": int(exclusion_gap),
-    }
 
-    distances = NeighborIndex(cat).row_distances([target_index], n_analogs, int(exclusion_gap))[0]
+    distances = NeighborIndex(cat).row_distances([target_index], n_analogs, exclusion_gap)[0]
     est = estimate_local_dimension(distances)
     fit = fit_prefactor(distances, est.dim, len(cat))
 
@@ -394,9 +417,7 @@ def run_fit_target(out, catalog, target_index, n_analogs=40, exclusion_gap=0) ->
         f"target {target_index}: dim={est.dim:.3f} prefactor={fit.prefactor:.4g} "
         f"rescaling={fit.rescaling:.4g} (residual {fit.residual:.3g})",
     ]
-    return _finish(
-        "fit-target", parameters, [fit_csv, summary_csv, svg], out / "manifest.json", summary
-    )
+    return [fit_csv, summary_csv, svg], summary
 
 
 # ---------------------------------------------------------------------------
@@ -422,18 +443,19 @@ def _kde_columns(samples_by_label: dict, bandwidth: float, theory=None):
     return {"series": series, "x": xs, "density": ys}
 
 
+@_driver("mc-distances", "dir")
 def run_mc_distances(
-    out,
-    catalog_source,
-    l_list=(10_000, 100_000),
-    n_catalogs=200,
-    target_index=0,
-    n_analogs_dim=150,
-    k_markers=(1, 15, 30),
-    bw_dim=0.15,
-    bw_rho=4.0,
-    bw_rescaled=0.3,
-    seed=0,
+    out: Path,
+    catalog_source: str,
+    l_list: tuple[int, ...] = (10_000, 100_000),
+    n_catalogs: int = 200,
+    target_index: int = 0,
+    n_analogs_dim: int = 150,
+    k_markers: Annotated[tuple[int, ...], sorted] = (1, 15, 30),
+    bw_dim: float = 0.15,
+    bw_rho: float = 4.0,
+    bw_rescaled: float = 0.3,
+    seed: int = 0,
 ) -> ExperimentResult:
     """Distance statistics of one target across independent random catalogs.
 
@@ -450,33 +472,13 @@ def run_mc_distances(
     fluctuation is part of what the closed-form law predicts, and dividing
     it out per catalog would deflate the sample variance.
     """
-    out = _ensure_dir(out)
     source = load_catalog(catalog_source)
-    l_list = tuple(int(v) for v in l_list)
-    k_markers = tuple(sorted(int(k) for k in k_markers))
-    n_catalogs = int(n_catalogs)
-    target_index = int(target_index)
-    n_analogs_dim = int(n_analogs_dim)
-    seed = int(seed)
     if n_catalogs < 2:
         raise ValueError("n_catalogs must be >= 2")
     if not 0 <= target_index < len(source):
         raise ValueError(f"target_index {target_index} outside source of length {len(source)}")
     if k_markers and (k_markers[0] < 1 or k_markers[-1] > n_analogs_dim):
         raise ValueError("k_markers must lie within 1..n_analogs_dim")
-    parameters = {
-        "out": str(out),
-        "catalog_source": str(catalog_source),
-        "l_list": list(l_list),
-        "n_catalogs": n_catalogs,
-        "target_index": target_index,
-        "n_analogs_dim": n_analogs_dim,
-        "k_markers": list(k_markers),
-        "bw_dim": float(bw_dim),
-        "bw_rho": float(bw_rho),
-        "bw_rescaled": float(bw_rescaled),
-        "seed": seed,
-    }
 
     target = source.states[target_index]
     k_top = n_analogs_dim
@@ -557,8 +559,8 @@ def run_mc_distances(
     if overlap_cols["l_a"]:
         outputs.append(write_csv(out / "rho_overlap.csv", "mc-rho-overlap", overlap_cols))
 
-    dim_csv = write_csv(out / "dim_density.csv", "mc-dim-density", _kde_columns(dims_by_label, float(bw_dim)))
-    rho_csv = write_csv(out / "rho_density.csv", "mc-rho-density", _kde_columns(rho_by_label, float(bw_rho)))
+    dim_csv = write_csv(out / "dim_density.csv", "mc-dim-density", _kde_columns(dims_by_label, bw_dim))
+    rho_csv = write_csv(out / "rho_density.csv", "mc-rho-density", _kde_columns(rho_by_label, bw_rho))
     outputs += [
         dim_csv,
         rho_csv,
@@ -575,7 +577,7 @@ def run_mc_distances(
         k_csv = write_csv(
             out / f"rescaled_k{k}.csv",
             f"mc-rescaled-k{k}",
-            _kde_columns(rescaled[k], float(bw_rescaled), theory=theory),
+            _kde_columns(rescaled[k], bw_rescaled, theory=theory),
         )
         outputs += [
             k_csv,
@@ -590,22 +592,23 @@ def run_mc_distances(
         )
         summary.append(f"KS p-values at k={k}: {p_bits}")
 
-    return _finish("mc-distances", parameters, outputs, out / "manifest.json", summary)
+    return outputs, summary
 
 
 # ---------------------------------------------------------------------------
 # rescaled fluctuation densities
 
 
+@_driver("rescaled-density", "dir")
 def run_rescaled_density(
-    out,
-    catalog,
-    k_max=8,
-    bandwidth=0.3,
-    n_analogs_dim=40,
-    n_targets=400,
-    exclusion_gap=36,
-    seed=0,
+    out: Path,
+    catalog: str,
+    k_max: int = 8,
+    bandwidth: float = 0.3,
+    n_analogs_dim: int = 40,
+    n_targets: int = 400,
+    exclusion_gap: int = 36,
+    seed: int = 0,
 ) -> ExperimentResult:
     """Pool rescaled analog-distance fluctuations over targets, rank by rank.
 
@@ -614,31 +617,17 @@ def run_rescaled_density(
     pooled u_k densities are then compared with the closed-form fluctuation
     law evaluated at the mean fitted dimension.
     """
-    out = _ensure_dir(out)
     cat = _with_times(load_catalog(catalog))
-    k_max = int(k_max)
-    n_analogs_dim = int(n_analogs_dim)
-    n_targets = int(n_targets)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if n_analogs_dim < max(3, k_max):
         raise ValueError("n_analogs_dim must be >= max(3, k_max)")
     if n_targets < 2:
         raise ValueError("n_targets must be >= 2")
-    parameters = {
-        "out": str(out),
-        "catalog": str(catalog),
-        "k_max": k_max,
-        "bandwidth": float(bandwidth),
-        "n_analogs_dim": n_analogs_dim,
-        "n_targets": n_targets,
-        "exclusion_gap": int(exclusion_gap),
-        "seed": int(seed),
-    }
 
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(len(cat), size=min(n_targets, len(cat)), replace=False))
-    distances = NeighborIndex(cat).row_distances(picks, n_analogs_dim, int(exclusion_gap))
+    distances = NeighborIndex(cat).row_distances(picks, n_analogs_dim, exclusion_gap)
     dims = np.empty(len(picks))
     prefs = np.empty(len(picks))
     u_rows = np.empty((len(picks), k_max))
@@ -661,13 +650,12 @@ def run_rescaled_density(
         },
     )
 
-    bw = float(bandwidth)
-    lo = min(-4.5, float(u_rows.min()) - 4.0 * bw)
-    hi = max(4.5, float(u_rows.max()) + 4.0 * bw)
+    lo = min(-4.5, float(u_rows.min()) - 4.0 * bandwidth)
+    hi = max(4.5, float(u_rows.max()) + 4.0 * bandwidth)
     grid = np.linspace(lo, hi, _DENSITY_GRID)
     series, k_col, u_col, y_col = [], [], [], []
     for k in range(1, k_max + 1):
-        kde = gaussian_kde(u_rows[:, k - 1], bw, grid)
+        kde = gaussian_kde(u_rows[:, k - 1], bandwidth, grid)
         series.extend([f"k={k}"] * len(grid))
         k_col.extend([k] * len(grid))
         u_col.extend(grid.tolist())
@@ -688,55 +676,34 @@ def run_rescaled_density(
         f"{len(picks)} targets: mean dim {dbar:.3f} (std {dims.std(ddof=1):.3f}), "
         f"ranks 1..{k_max} pooled",
     ]
-    return _finish(
-        "rescaled-density",
-        parameters,
-        [targets_csv, curves_csv, svg],
-        out / "manifest.json",
-        summary,
-    )
+    return [targets_csv, curves_csv, svg], summary
 
 
 # ---------------------------------------------------------------------------
 # dimension-budget scan
 
 
+@_driver("dmax-scan", "dir")
 def run_dmax_scan(
-    out,
-    catalog,
-    epsilon,
-    k_list=(1, 5, 25, 100),
-    eof_counts=(1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50),
-    l_eff=None,
-    rho_bar=0.55,
-    n_analogs=40,
-    n_targets=200,
-    seed=0,
-    rmsd_pairs=50_000,
+    out: Path,
+    catalog: str,
+    epsilon: float,
+    k_list: Annotated[tuple[int, ...], sorted] = (1, 5, 25, 100),
+    eof_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50),
+    l_eff: int | None = None,
+    rho_bar: float = 0.55,
+    n_analogs: int = 40,
+    n_targets: int = 200,
+    seed: int = 0,
+    rmsd_pairs: int = 50_000,
 ) -> ExperimentResult:
     """Scan EOF truncations against the analog-quality criterion per rank,
-    all ranks in one scan."""
-    out = _ensure_dir(out)
-    cat = load_catalog(catalog)
-    data = cat.states
-    k_list = tuple(sorted(int(k) for k in k_list))
+    all ranks in one scan. Records the EOF counts the catalog can hold."""
+    data = load_catalog(catalog).states
     limit = min(data.shape[0], data.shape[1])
-    eof_counts = tuple(sorted({int(c) for c in eof_counts if 1 <= int(c) <= limit}))
+    eof_counts = tuple(sorted({c for c in eof_counts if 1 <= c <= limit}))
     if not eof_counts:
         raise ValueError("no usable eof_counts for this catalog")
-    parameters = {
-        "out": str(out),
-        "catalog": str(catalog),
-        "epsilon": float(epsilon),
-        "k_list": list(k_list),
-        "eof_counts": list(eof_counts),
-        "l_eff": None if l_eff is None else int(l_eff),
-        "rho_bar": float(rho_bar),
-        "n_analogs": int(n_analogs),
-        "n_targets": int(n_targets),
-        "seed": int(seed),
-        "rmsd_pairs": int(rmsd_pairs),
-    }
 
     scan_cols = {
         "series": [],
@@ -750,11 +717,10 @@ def run_dmax_scan(
     boundary_cols = {"series": [], "k": [], "dmax": []}
     summary = []
     criteria = [
-        ReductionCriterion(epsilon=float(epsilon), rank=k, l_eff=l_eff, rho_bar=float(rho_bar))
-        for k in k_list
+        ReductionCriterion(epsilon=epsilon, rank=k, l_eff=l_eff, rho_bar=rho_bar) for k in k_list
     ]
-    scans = criterion_scan(data, criteria, eof_counts, n_analogs=int(n_analogs),
-                           n_targets=int(n_targets), seed=int(seed), rmsd_pairs=int(rmsd_pairs))
+    scans = criterion_scan(data, criteria, eof_counts, n_analogs=n_analogs,
+                           n_targets=n_targets, seed=seed, rmsd_pairs=rmsd_pairs)
     for k, rows in zip(k_list, scans):
         label = f"k={k}"
         for row in rows:
@@ -773,50 +739,32 @@ def run_dmax_scan(
     scan_csv = write_csv(out / "scan.csv", "dmax-scan", scan_cols)
     boundary_csv = write_csv(out / "boundary.csv", "dmax-boundary", boundary_cols)
     ratio_svg = _plot(scan_csv, "ratio.svg", "n_eof", "ratio", group="series",
-                      title=f"Mean rank-k distance / RMSD (epsilon={float(epsilon):g})",
+                      title=f"Mean rank-k distance / RMSD (epsilon={epsilon:g})",
                       x_label="EOF count")
     boundary_svg = _plot(boundary_csv, "boundary.svg", "k", "dmax", group="series",
                          dashed=("theory",), log_x=True,
                          title="Largest truncation passing the criterion", x_label="rank k",
                          y_label="dimension budget")
-    return _finish(
-        "dmax-scan",
-        parameters,
-        [scan_csv, boundary_csv, ratio_svg, boundary_svg],
-        out / "manifest.json",
-        summary,
-    )
+    return [scan_csv, boundary_csv, ratio_svg, boundary_svg], summary, {"eof_counts": eof_counts}
 
 
 # ---------------------------------------------------------------------------
 # clustering pipeline
 
 
+@_driver("cluster", "dir")
 def run_cluster(
-    out,
-    catalog,
-    n_eof=50,
-    candidates=(1, 2, 3, 4, 5, 6, 7, 8),
-    seeds_per_candidate=5,
-    covariance="full",
-    standardize=False,
-    seed=0,
+    out: Path,
+    catalog: str,
+    n_eof: int = 50,
+    candidates: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
+    seeds_per_candidate: int = 5,
+    covariance: str = "full",
+    standardize: bool = False,
+    seed: int = 0,
 ) -> ExperimentResult:
     """EOF-reduce a catalog, select a mixture size by BIC, assign clusters."""
-    out = _ensure_dir(out)
     cat = _with_times(load_catalog(catalog))
-    n_eof = int(n_eof)
-    parameters = {
-        "out": str(out),
-        "catalog": str(catalog),
-        "n_eof": n_eof,
-        "candidates": [int(c) for c in candidates],
-        "seeds_per_candidate": int(seeds_per_candidate),
-        "covariance": str(covariance),
-        "standardize": bool(standardize),
-        "seed": int(seed),
-    }
-
     basis = eof_fit(cat.states, n_eof)
     features = project(basis, cat.states)
     if standardize:
@@ -825,10 +773,10 @@ def run_cluster(
         features = features / spread
     selection = select_n_clusters(
         features,
-        [int(c) for c in candidates],
-        seeds_per_candidate=int(seeds_per_candidate),
-        base_seed=int(seed),
-        covariance=str(covariance),
+        candidates,
+        seeds_per_candidate=seeds_per_candidate,
+        base_seed=seed,
+        covariance=covariance,
         workers=worker_count(),
     )
     labels = assign_spatial_clusters(selection.best_model, features)
@@ -864,28 +812,23 @@ def run_cluster(
         f"{[n for n, _ in selection.bic_curve]})",
         "cluster sizes: " + " ".join(str(int(c)) for c in counts),
     ]
-    return _finish(
-        "cluster",
-        parameters,
-        [bic_csv, assign_csv, eof_csv, model_path, bic_svg],
-        out / "manifest.json",
-        summary,
-    )
+    return [bic_csv, assign_csv, eof_csv, model_path, bic_svg], summary
 
 
 # ---------------------------------------------------------------------------
 # dimension time series
 
 
+@_driver("dim-stats", "dir")
 def run_dim_stats(
-    out,
-    catalog,
-    n_analogs=40,
-    exclusion_gap=36,
-    n_targets=2000,
-    steps_per_day=24,
-    smooth_window_days=80,
-    hist_bins=40,
+    out: Path,
+    catalog: str,
+    n_analogs: int = 40,
+    exclusion_gap: int = 36,
+    n_targets: int = 2000,
+    steps_per_day: int = 24,
+    smooth_window_days: float = 80,
+    hist_bins: int = 40,
 ) -> ExperimentResult:
     """Local-dimension series over a catalog with daily/weekly statistics.
 
@@ -895,28 +838,14 @@ def run_dim_stats(
     whose sigma is a quarter of smooth_window_days), weekly 10-90 %
     quantile spreads, and a histogram.
     """
-    out = _ensure_dir(out)
     cat = _with_times(load_catalog(catalog))
-    n_analogs = int(n_analogs)
-    n_targets = int(n_targets)
-    steps_per_day = int(steps_per_day)
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
     if steps_per_day < 1:
         raise ValueError("steps_per_day must be >= 1")
-    parameters = {
-        "out": str(out),
-        "catalog": str(catalog),
-        "n_analogs": n_analogs,
-        "exclusion_gap": int(exclusion_gap),
-        "n_targets": n_targets,
-        "steps_per_day": steps_per_day,
-        "smooth_window_days": float(smooth_window_days),
-        "hist_bins": int(hist_bins),
-    }
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
-    distances = NeighborIndex(cat).row_distances(picks, n_analogs, int(exclusion_gap))
+    distances = NeighborIndex(cat).row_distances(picks, n_analogs, exclusion_gap)
     dims = np.array([estimate_local_dimension(r).dim for r in distances])
     tvals = cat.times[picks]
 
@@ -924,7 +853,7 @@ def run_dim_stats(
         out / "dims.csv", "dim-series", {"target": picks, "time": tvals, "dim": dims}
     )
 
-    density, edges = np.histogram(dims, bins=int(hist_bins), density=True)
+    density, edges = np.histogram(dims, bins=hist_bins, density=True)
     hist_csv = write_csv(
         out / "hist.csv",
         "dim-histogram",
@@ -936,7 +865,7 @@ def run_dim_stats(
     sums = np.bincount(inverse, weights=dims)
     counts = np.bincount(inverse)
     daily_mean = sums / counts
-    smoothed = gaussian_smooth(daily_mean, sigma=float(smooth_window_days) / 4.0)
+    smoothed = gaussian_smooth(daily_mean, sigma=smooth_window_days / 4.0)
     daily_csv = write_csv(
         out / "daily.csv",
         "dim-daily",
@@ -965,29 +894,11 @@ def run_dim_stats(
         f"min {dims.min():.3f} max {dims.max():.3f}",
         f"{len(uniq_days)} daily bins, {len(uniq_weeks)} weekly bins",
     ]
-    return _finish(
-        "dim-stats",
-        parameters,
-        [dims_csv, hist_csv, daily_csv, weekly_csv, hist_svg, daily_svg, weekly_svg],
-        out / "manifest.json",
-        summary,
-    )
+    return [dims_csv, hist_csv, daily_csv, weekly_csv, hist_svg, daily_svg, weekly_svg], summary
 
 
 # ---------------------------------------------------------------------------
 # re-running from manifests
-
-RUNNERS = {
-    "gen-l63": (run_gen_l63, "file"),
-    "gen-surrogate": (run_gen_surrogate, "file"),
-    "theory-curves": (run_theory_curves, "dir"),
-    "fit-target": (run_fit_target, "dir"),
-    "mc-distances": (run_mc_distances, "dir"),
-    "rescaled-density": (run_rescaled_density, "dir"),
-    "dmax-scan": (run_dmax_scan, "dir"),
-    "cluster": (run_cluster, "dir"),
-    "dim-stats": (run_dim_stats, "dir"),
-}
 
 
 def run_rerun(manifest_path, out=None) -> tuple[ExperimentResult, dict[str, bool]]:
@@ -995,22 +906,29 @@ def run_rerun(manifest_path, out=None) -> tuple[ExperimentResult, dict[str, bool
 
     Without `out`, artifacts are regenerated in place (next to the
     manifest). Returns the fresh result plus, per recorded output, whether
-    the regenerated file matches the recorded SHA-256.
+    the regenerated file matches the recorded SHA-256. Recorded parameters
+    that do not bind to the driver's signature (an unknown or missing name,
+    or a value that does not coerce) raise FormatError before it runs.
     """
     manifest_path = Path(manifest_path)
     recorded = load_manifest(manifest_path)
     if recorded.command not in RUNNERS:
         raise ValueError(f"manifest names unknown command {recorded.command!r}")
     func, kind = RUNNERS[recorded.command]
-    params = dict(recorded.parameters)
-    recorded_out = params.pop("out", None)
+    expected, given = set(inspect.signature(func).parameters), set(recorded.parameters)
+    if expected != given:
+        raise FormatError(
+            f"{recorded.command} manifest parameters do not bind: unknown "
+            f"{sorted(given - expected)}, missing {sorted(expected - given)}", 0
+        )
+    try:
+        params = _arguments(func, **recorded.parameters)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(
+            f"{recorded.command} manifest parameters do not coerce: {exc}", 0
+        ) from exc
     if out is None:
-        if kind == "dir":
-            out = manifest_path.parent
-        else:
-            if recorded_out is None:
-                raise ValueError("manifest lacks an output path")
-            out = manifest_path.parent / Path(recorded_out).name
-    result = func(out, **params)
+        out = manifest_path.parent if kind == "dir" else manifest_path.parent / params["out"].name
+    result = func(**{**params, "out": out})
     status = verify_outputs(recorded, Path(result.manifest_path).parent)
     return result, status

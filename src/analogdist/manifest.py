@@ -74,17 +74,15 @@ def build_manifest(
     parameters: Mapping[str, Any],
     outputs,
     base_dir,
-    seeds: Mapping[str, int] | None = None,
 ) -> ExperimentManifest:
     """Hash `outputs` (paths under base_dir) and assemble a manifest.
 
-    When seeds is None, every parameter whose name contains "seed" is
-    promoted into the seeds block.
+    Every parameter whose name contains "seed" and whose value is not None
+    is promoted into the seeds block.
     """
     base = Path(base_dir)
     params = _jsonify(dict(parameters))
-    if seeds is None:
-        seeds = {k: v for k, v in params.items() if "seed" in k and v is not None}
+    seeds = {k: v for k, v in params.items() if "seed" in k and v is not None}
     hashed = {}
     for path in outputs:
         path = Path(path)
@@ -93,7 +91,7 @@ def build_manifest(
     return ExperimentManifest(
         command=command,
         parameters=params,
-        seeds=dict(seeds),
+        seeds=seeds,
         package_version=__version__,
         created_utc=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         outputs=dict(sorted(hashed.items())),

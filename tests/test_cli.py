@@ -19,6 +19,7 @@ from analogdist import __version__, experiments
 from analogdist.catalog import Catalog, save_catalog
 from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
+from analogdist.manifest import file_sha256
 from analogdist.neighbors import NeighborIndex
 from analogdist.svgplot import read_csv_columns
 
@@ -288,6 +289,35 @@ class TestRerunCommand:
         assert code == 3
         assert "MISMATCH curves.csv" in captured.out
         assert "differ from the manifest" in captured.err
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda params: params.update(bogus=1),
+            lambda params: params.update(k_list=5),
+            lambda params: params.update(grid_points=None),
+            lambda params: params.pop("k_list"),
+        ],
+        ids=["unknown", "not-a-list", "null", "missing"],
+    )
+    def test_rerun_with_unbindable_parameters_exits_4(self, tamper, tmp_path, capsys):
+        # --k-list is not the default, so a run that fell back to it would
+        # rewrite curves.csv.
+        out = tmp_path / "exp"
+        main(
+            ["theory-curves", "--k-list", "1,5", "--d-list", "2", "--grid-points", "32",
+             "--out", str(out)]
+        )
+        manifest_path = out / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        tamper(raw["parameters"])
+        manifest_path.write_text(json.dumps(raw))
+        before = {p.name: file_sha256(p) for p in out.iterdir()}
+        capsys.readouterr()
+        code = main(["rerun", str(manifest_path)])
+        assert code == 4
+        assert "manifest" in capsys.readouterr().err
+        assert {p.name: file_sha256(p) for p in out.iterdir()} == before
 
     def test_rerun_into_new_directory(self, tmp_path, capsys):
         out = tmp_path / "exp"

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -537,3 +538,243 @@ class TestRerun:
         path.write_text(json.dumps(raw))
         with pytest.raises(ValueError, match="unknown command"):
             experiments.run_rerun(path)
+
+
+# ---------------------------------------------------------------------------
+# recorded parameters of direct calls
+#
+# The golden gate feeds only CLI-typed, already sorted values. Here each
+# driver is called directly, once with every default applied and once with
+# unnormalised input (tuples, unsorted duplicates, numpy scalars, Path
+# objects, ints where floats are recorded, an EOF count wider than the
+# catalog), and the manifest must record exactly these parameters and seeds.
+
+
+@pytest.fixture(scope="module")
+def recording_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("recording")
+    experiments.run_gen_l63(root / "cats" / "l63.anacat", n=100_000, seed=1)
+    experiments.run_gen_surrogate(root / "cats" / "wide.anacat", modes=2, n=2400)
+    experiments.run_gen_surrogate(root / "cats" / "tiny.anacat", modes=2, n=300, noise=0.05)
+    return root
+
+
+i64, f64 = np.int64, np.float64
+
+# command -> (call with every default applied, call with unnormalised input)
+RECORDING_CALLS = {
+    "gen-l63": (
+        lambda: experiments.run_gen_l63("d/l63.anacat"),
+        lambda: experiments.run_gen_l63(
+            Path("u") / "l63.anacat", n=i64(200), dt=f64(0.01), burn_in=i64(20), stride=i64(2),
+            seed=i64(4),
+        ),
+    ),
+    "gen-surrogate": (
+        lambda: experiments.run_gen_surrogate("d/wind.anacat", 2),
+        lambda: experiments.run_gen_surrogate(
+            "./u//wind.anacat", i64(2), grid=i64(8), n=300, noise=f64(0.01), seed=i64(3),
+            components=i64(2), decay=1,
+        ),
+    ),
+    "theory-curves": (
+        lambda: experiments.run_theory_curves("d/theory"),
+        lambda: experiments.run_theory_curves(
+            Path("u/theory"), k_list=(i64(5), 1, 5), d_list=[2, f64(1.5)],
+            catalog_size=i64(1000), grid_points=i64(16),
+        ),
+    ),
+    "fit-target": (
+        lambda: experiments.run_fit_target("d/fit", "cats/l63.anacat", 5),
+        lambda: experiments.run_fit_target(
+            "./u//fit/", "./cats//l63.anacat", i64(7), n_analogs=i64(12), exclusion_gap=i64(3)
+        ),
+    ),
+    "mc-distances": (
+        lambda: experiments.run_mc_distances("d/mc", "cats/l63.anacat"),
+        lambda: experiments.run_mc_distances(
+            Path("u/mc"), Path("cats/l63.anacat"), l_list=(i64(600), 300), n_catalogs=i64(4),
+            target_index=i64(3), n_analogs_dim=i64(20), k_markers=[5, i64(1), 5], bw_dim=1,
+            bw_rho=f64(4.0), bw_rescaled=f64(0.5), seed=i64(2),
+        ),
+    ),
+    "rescaled-density": (
+        lambda: experiments.run_rescaled_density("d/resc", "cats/l63.anacat"),
+        lambda: experiments.run_rescaled_density(
+            Path("u/resc"), Path("cats/l63.anacat"), k_max=i64(3), bandwidth=1,
+            n_analogs_dim=i64(10), n_targets=i64(30), exclusion_gap=i64(4), seed=i64(6),
+        ),
+    ),
+    "dmax-scan": (
+        lambda: experiments.run_dmax_scan("d/dmax", "cats/wide.anacat", 0.4),
+        lambda: experiments.run_dmax_scan(
+            "u/dmax", Path("cats/wide.anacat"), 1, k_list=(5, i64(1), 5),
+            eof_counts=(3, 1, i64(3), 2, 999), l_eff=i64(50), rho_bar=f64(0.5),
+            n_analogs=i64(12), n_targets=i64(10), seed=i64(1), rmsd_pairs=i64(300),
+        ),
+    ),
+    "cluster": (
+        lambda: experiments.run_cluster("d/cluster", "cats/tiny.anacat"),
+        lambda: experiments.run_cluster(
+            Path("u/cluster"), "./cats//tiny.anacat", n_eof=i64(3), candidates=(i64(2), 1),
+            seeds_per_candidate=i64(2), covariance=np.str_("diag"), standardize=np.bool_(True),
+            seed=i64(5),
+        ),
+    ),
+    "dim-stats": (
+        lambda: experiments.run_dim_stats("d/dims", "cats/l63.anacat"),
+        lambda: experiments.run_dim_stats(
+            Path("u/dims"), Path("cats/l63.anacat"), n_analogs=i64(10), exclusion_gap=i64(3),
+            n_targets=i64(100), steps_per_day=i64(10), smooth_window_days=8, hist_bins=i64(10),
+        ),
+    ),
+}
+
+# Recorded from the drivers before they shared one envelope.
+RECORDED = {
+    ("gen-l63", "defaults"): (
+        {
+            "burn_in": 10000, "dt": 0.01, "n": 20000, "out": "d/l63.anacat", "seed": None,
+            "stride": 1,
+        },
+        {},
+    ),
+    ("gen-l63", "unnormalised"): (
+        {
+            "burn_in": 20, "dt": 0.01, "n": 200, "out": "u/l63.anacat", "seed": 4, "stride": 2,
+        },
+        {"seed": 4},
+    ),
+    ("gen-surrogate", "defaults"): (
+        {
+            "components": 1, "decay": 0.85, "grid": 64, "modes": 2, "n": 30000, "noise": 0.001,
+            "out": "d/wind.anacat", "seed": 0,
+        },
+        {"seed": 0},
+    ),
+    ("gen-surrogate", "unnormalised"): (
+        {
+            "components": 2, "decay": 1.0, "grid": 8, "modes": 2, "n": 300, "noise": 0.01,
+            "out": "u/wind.anacat", "seed": 3,
+        },
+        {"seed": 3},
+    ),
+    ("theory-curves", "defaults"): (
+        {
+            "catalog_size": 100000, "d_list": [1.3, 2.0, 5.0], "grid_points": 512,
+            "k_list": [1, 5, 30], "out": "d/theory",
+        },
+        {},
+    ),
+    ("theory-curves", "unnormalised"): (
+        {
+            "catalog_size": 1000, "d_list": [2.0, 1.5], "grid_points": 16, "k_list": [5, 1, 5],
+            "out": "u/theory",
+        },
+        {},
+    ),
+    ("fit-target", "defaults"): (
+        {
+            "catalog": "cats/l63.anacat", "exclusion_gap": 0, "n_analogs": 40, "out": "d/fit",
+            "target_index": 5,
+        },
+        {},
+    ),
+    ("fit-target", "unnormalised"): (
+        {
+            "catalog": "./cats//l63.anacat", "exclusion_gap": 3, "n_analogs": 12,
+            "out": "u/fit", "target_index": 7,
+        },
+        {},
+    ),
+    ("mc-distances", "defaults"): (
+        {
+            "bw_dim": 0.15, "bw_rescaled": 0.3, "bw_rho": 4.0,
+            "catalog_source": "cats/l63.anacat", "k_markers": [1, 15, 30],
+            "l_list": [10000, 100000], "n_analogs_dim": 150, "n_catalogs": 200, "out": "d/mc",
+            "seed": 0, "target_index": 0,
+        },
+        {"seed": 0},
+    ),
+    ("mc-distances", "unnormalised"): (
+        {
+            "bw_dim": 1.0, "bw_rescaled": 0.5, "bw_rho": 4.0,
+            "catalog_source": "cats/l63.anacat", "k_markers": [1, 5, 5], "l_list": [600, 300],
+            "n_analogs_dim": 20, "n_catalogs": 4, "out": "u/mc", "seed": 2, "target_index": 3,
+        },
+        {"seed": 2},
+    ),
+    ("rescaled-density", "defaults"): (
+        {
+            "bandwidth": 0.3, "catalog": "cats/l63.anacat", "exclusion_gap": 36, "k_max": 8,
+            "n_analogs_dim": 40, "n_targets": 400, "out": "d/resc", "seed": 0,
+        },
+        {"seed": 0},
+    ),
+    ("rescaled-density", "unnormalised"): (
+        {
+            "bandwidth": 1.0, "catalog": "cats/l63.anacat", "exclusion_gap": 4, "k_max": 3,
+            "n_analogs_dim": 10, "n_targets": 30, "out": "u/resc", "seed": 6,
+        },
+        {"seed": 6},
+    ),
+    ("dmax-scan", "defaults"): (
+        {
+            "catalog": "cats/wide.anacat",
+            "eof_counts": [1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50],
+            "epsilon": 0.4, "k_list": [1, 5, 25, 100], "l_eff": None, "n_analogs": 40,
+            "n_targets": 200, "out": "d/dmax", "rho_bar": 0.55, "rmsd_pairs": 50000, "seed": 0,
+        },
+        {"seed": 0},
+    ),
+    ("dmax-scan", "unnormalised"): (
+        {
+            "catalog": "cats/wide.anacat", "eof_counts": [1, 2, 3], "epsilon": 1.0,
+            "k_list": [1, 5, 5], "l_eff": 50, "n_analogs": 12, "n_targets": 10,
+            "out": "u/dmax", "rho_bar": 0.5, "rmsd_pairs": 300, "seed": 1,
+        },
+        {"seed": 1},
+    ),
+    ("cluster", "defaults"): (
+        {
+            "candidates": [1, 2, 3, 4, 5, 6, 7, 8], "catalog": "cats/tiny.anacat",
+            "covariance": "full", "n_eof": 50, "out": "d/cluster", "seed": 0,
+            "seeds_per_candidate": 5, "standardize": False,
+        },
+        {"seed": 0, "seeds_per_candidate": 5},
+    ),
+    ("cluster", "unnormalised"): (
+        {
+            "candidates": [2, 1], "catalog": "./cats//tiny.anacat", "covariance": "diag",
+            "n_eof": 3, "out": "u/cluster", "seed": 5, "seeds_per_candidate": 2,
+            "standardize": True,
+        },
+        {"seed": 5, "seeds_per_candidate": 2},
+    ),
+    ("dim-stats", "defaults"): (
+        {
+            "catalog": "cats/l63.anacat", "exclusion_gap": 36, "hist_bins": 40,
+            "n_analogs": 40, "n_targets": 2000, "out": "d/dims", "smooth_window_days": 80.0,
+            "steps_per_day": 24,
+        },
+        {},
+    ),
+    ("dim-stats", "unnormalised"): (
+        {
+            "catalog": "cats/l63.anacat", "exclusion_gap": 3, "hist_bins": 10, "n_analogs": 10,
+            "n_targets": 100, "out": "u/dims", "smooth_window_days": 8.0, "steps_per_day": 10,
+        },
+        {},
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ["defaults", "unnormalised"])
+@pytest.mark.parametrize("command", list(RECORDING_CALLS))
+def test_recorded_parameters_of_direct_calls(command, variant, recording_root, monkeypatch):
+    monkeypatch.chdir(recording_root)
+    result = RECORDING_CALLS[command][variant == "unnormalised"]()
+    manifest = load_manifest(result.manifest_path)
+    # JSON text, so 80 and 80.0 or 1 and true do not compare equal.
+    recorded = json.dumps([manifest.parameters, manifest.seeds], sort_keys=True)
+    assert recorded == json.dumps(RECORDED[command, variant], sort_keys=True)

@@ -58,8 +58,6 @@ def test_build_records_relative_posix_paths_sorted(out_dir):
 def test_build_promotes_seed_parameters(out_dir):
     manifest = _build(out_dir)
     assert manifest.seeds == {"seed": 7}
-    explicit = _build(out_dir, seeds={"driver_seed": 3})
-    assert explicit.seeds == {"driver_seed": 3}
 
 
 def test_build_jsonifies_paths_and_numpy_scalars(out_dir):
