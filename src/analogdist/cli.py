@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True, help="output .anacat path")
 
     g = command("theory-curves", "tabulate rank-distance densities and moment markers")
-    g.add_argument("--k-list", type=_int_list, help="analog ranks")
+    g.add_argument("--k-list", type=_int_list, help="distinct analog ranks")
     g.add_argument("--d-list", type=_float_list, help="dimensions")
     g.add_argument("--L", dest="catalog_size", type=_int, help="catalog size entering the law")
     g.add_argument("--grid-points", type=int)
@@ -109,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--target", dest="target_index", type=int, help="source row used as the target")
     g.add_argument("--K-dim", dest="n_analogs_dim", type=int,
                    help="analogs per catalog for the dimension estimate")
-    g.add_argument("--k-markers", type=_int_list, help="ranks whose rescaled distances are tested")
+    g.add_argument("--k-markers", type=_int_list,
+                   help="distinct ranks whose rescaled distances are tested")
     g.add_argument("--bw-dim", type=float, help="KDE bandwidth, dimension panel")
     g.add_argument("--bw-rho", type=float, help="KDE bandwidth, rescaling panel")
     g.add_argument("--bw-rescaled", type=float, help="KDE bandwidth, rescaled panel")
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--catalog", required=True, help=".anacat file")
     g.add_argument("--epsilon", type=float, required=True,
                    help="tolerated mean rank-k distance as a fraction of RMSD")
-    g.add_argument("--k-list", type=_int_list, help="analog ranks")
+    g.add_argument("--k-list", type=_int_list, help="distinct analog ranks")
     g.add_argument("--eof-counts", type=_int_list, help="EOF truncations to test")
     g.add_argument("--L-eff", dest="l_eff", type=_int,
                    help="effective decorrelated catalog size (default: length/24)")

@@ -10,10 +10,12 @@ class NonFiniteError(AnalogDistError):
 
 
 class FormatError(AnalogDistError):
-    """Malformed catalog file. Carries the byte offset where parsing failed."""
+    """Malformed catalog or manifest file. Carries the byte offset where
+    parsing failed, or None where the fault has no position in the file."""
 
-    def __init__(self, message: str, byte_offset: int = 0):
-        super().__init__(f"{message} (byte offset {byte_offset})")
+    def __init__(self, message: str, byte_offset: int | None = None):
+        suffix = "" if byte_offset is None else f" (byte offset {byte_offset})"
+        super().__init__(message + suffix)
         self.byte_offset = byte_offset
 
 

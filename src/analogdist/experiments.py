@@ -154,12 +154,21 @@ def _plot(csv_path: Path, svg_name: str, x, y, **style) -> Path:
     return svg
 
 
+def _distinct(ranks: tuple) -> tuple:
+    """The ranks unchanged; a rank given twice raises ValueError."""
+    repeated = sorted({k for k in ranks if ranks.count(k) > 1})
+    if repeated:
+        raise ValueError(f"rank list {list(ranks)} repeats {repeated}")
+    return ranks
+
+
 def _coerce(kind, value):
     """Convert one argument to its annotated type.
 
     Only `T | None` admits None; `tuple[T, ...]` takes any iterable but a
-    string; `Annotated[T, f]` applies f after converting to T (the rank
-    lists annotated with `sorted` are recorded in ascending order).
+    string; `Annotated[T, f, ...]` applies each f in turn after converting
+    to T (every rank list is annotated with `_distinct`, and those also
+    annotated with `sorted` are recorded in ascending order).
     """
     origin, args = get_origin(kind), get_args(kind)
     if type(None) in args:
@@ -167,7 +176,10 @@ def _coerce(kind, value):
     if value is None:
         raise TypeError(f"null where {inspect.formatannotation(kind)} is required")
     if origin is Annotated:
-        return _coerce(args[0], args[1](_coerce(args[0], value)))
+        value = _coerce(args[0], value)
+        for f in args[1:]:
+            value = _coerce(args[0], f(value))
+        return value
     if origin is tuple:
         if isinstance(value, str):
             raise TypeError(f"string {value!r} where {inspect.formatannotation(kind)} is required")
@@ -306,7 +318,7 @@ def run_gen_surrogate(
 @_driver("theory-curves", "dir")
 def run_theory_curves(
     out: Path,
-    k_list: tuple[int, ...] = (1, 5, 30),
+    k_list: Annotated[tuple[int, ...], _distinct] = (1, 5, 30),
     d_list: tuple[float, ...] = (1.3, 2.0, 5.0),
     catalog_size: int = 100_000,
     grid_points: int = _DENSITY_GRID,
@@ -451,7 +463,7 @@ def run_mc_distances(
     n_catalogs: int = 200,
     target_index: int = 0,
     n_analogs_dim: int = 150,
-    k_markers: Annotated[tuple[int, ...], sorted] = (1, 15, 30),
+    k_markers: Annotated[tuple[int, ...], _distinct, sorted] = (1, 15, 30),
     bw_dim: float = 0.15,
     bw_rho: float = 4.0,
     bw_rescaled: float = 0.3,
@@ -688,7 +700,7 @@ def run_dmax_scan(
     out: Path,
     catalog: str,
     epsilon: float,
-    k_list: Annotated[tuple[int, ...], sorted] = (1, 5, 25, 100),
+    k_list: Annotated[tuple[int, ...], _distinct, sorted] = (1, 5, 25, 100),
     eof_counts: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 8, 10, 13, 16, 20, 25, 32, 40, 50),
     l_eff: int | None = None,
     rho_bar: float = 0.55,
@@ -919,14 +931,12 @@ def run_rerun(manifest_path, out=None) -> tuple[ExperimentResult, dict[str, bool
     if expected != given:
         raise FormatError(
             f"{recorded.command} manifest parameters do not bind: unknown "
-            f"{sorted(given - expected)}, missing {sorted(expected - given)}", 0
+            f"{sorted(given - expected)}, missing {sorted(expected - given)}"
         )
     try:
         params = _arguments(func, **recorded.parameters)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(
-            f"{recorded.command} manifest parameters do not coerce: {exc}", 0
-        ) from exc
+        raise FormatError(f"{recorded.command} manifest parameters do not coerce: {exc}") from exc
     if out is None:
         out = manifest_path.parent if kind == "dir" else manifest_path.parent / params["out"].name
     result = func(**{**params, "out": out})

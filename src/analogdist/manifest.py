@@ -108,17 +108,15 @@ def load_manifest(path) -> ExperimentManifest:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"manifest is not UTF-8 text: {exc}", 0) from exc
+        raise FormatError(f"manifest is not UTF-8 text: {exc}", exc.start) from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"manifest is not valid JSON: {exc.msg}", exc.pos) from exc
     if not isinstance(raw, dict):
-        raise FormatError("manifest root must be a JSON object", 0)
+        raise FormatError("manifest root must be a JSON object")
     if raw.get("schema_version") != SCHEMA_VERSION:
-        raise FormatError(
-            f"unsupported manifest schema_version {raw.get('schema_version')!r}", 0
-        )
+        raise FormatError(f"unsupported manifest schema_version {raw.get('schema_version')!r}")
     required = {
         "command": str,
         "parameters": dict,
@@ -129,12 +127,12 @@ def load_manifest(path) -> ExperimentManifest:
     }
     for key, kind in required.items():
         if key not in raw:
-            raise FormatError(f"manifest missing field {key!r}", 0)
+            raise FormatError(f"manifest missing field {key!r}")
         if not isinstance(raw[key], kind):
-            raise FormatError(f"manifest field {key!r} must be {kind.__name__}", 0)
+            raise FormatError(f"manifest field {key!r} must be {kind.__name__}")
     for rel, digest in raw["outputs"].items():
         if not (isinstance(digest, str) and len(digest) == 64):
-            raise FormatError(f"output {rel!r} has a malformed SHA-256 digest", 0)
+            raise FormatError(f"output {rel!r} has a malformed SHA-256 digest")
     return ExperimentManifest(
         command=raw["command"],
         parameters=raw["parameters"],

@@ -1,12 +1,25 @@
 """Exact nearest-neighbour search over catalogs.
 
 Two interchangeable backends return identical results: an exhaustive scan
-(the reference implementation) and a k-d tree for low-dimensional states.
-Distances are plain Euclidean; ties are broken by ascending catalog index.
+and a k-d tree for low-dimensional states. Distances are plain Euclidean,
+each computed as sqrt(sum((x - z)**2)); ties are broken by ascending
+catalog index.
+
+Both backends preselect candidates cheaply and then recompute the exact
+distances of the survivors, so the two agree bitwise with each other and
+with a full scan. The exhaustive scan preselects from the norm form
+|x|^2 + |z|^2 - 2 x.z (one matrix-vector product per query against cached
+row norms), widened by a bound on its rounding error: a row is kept unless
+its lower bound exceeds the m-th smallest upper bound, the exact-kNN
+scheme of Johnson, Douze & Jegou (arXiv:1702.08734). Where that bound is
+not finite it scans every row exactly. The k-d tree asks for one neighbour
+more than needed and re-queries by radius only when that extra neighbour
+may tie with the cut.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +38,8 @@ __all__ = [
 KDTREE_MAX_DIM = 20
 # Below this size building a tree costs more than one full scan.
 _KDTREE_MIN_ROWS = 256
+_EPS = float(np.finfo(np.float64).eps)
+_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,11 @@ class NeighborIndex:
         self.catalog = catalog
         self.backend = backend
         self._tree = cKDTree(catalog.states) if backend == "kdtree" else None
+        if self._tree is None:
+            # einsum overflows to inf without a warning; an infinite norm
+            # only sends queries to the full scan (see _preselect).
+            self._sqnorms = np.einsum("ij,ij->i", catalog.states, catalog.states)
+            self._max_sqnorm = float(self._sqnorms.max())
 
     def _check_target(self, target) -> np.ndarray:
         z = np.asarray(target, dtype=np.float64).reshape(-1)
@@ -96,9 +116,34 @@ class NeighborIndex:
             raise NonFiniteError("target holds non-finite values")
         return z
 
-    def _exact_distances(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _exact_distances(self, z: np.ndarray, idx=slice(None)) -> np.ndarray:
         diff = self.catalog.states[idx] - z
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+    def _preselect(self, z: np.ndarray, m: int) -> np.ndarray | None:
+        """Rows that may lie among the m nearest (m < L), or None when the
+        norm-form bounds are not finite.
+
+        With h = max |x|^2 + |z|^2, the norm form |x|^2 + |z|^2 - 2 x.z and
+        the exact square sum((x - z)**2) of any row, both as computed, differ
+        by at most (4D + 8) u h (u = eps/2, any summation order), plus 2D
+        smallest subnormals where products underflow. The margin is twice
+        that. At least m rows have an exact square no larger than thr, the
+        m-th smallest upper bound (norm form + margin), so every row of the
+        prefix, ties at the cut after sqrt included, has an exact square of
+        at most thr (1 + 4.1u). A row is kept unless its lower bound (norm
+        form - margin) exceeds that; the 8 eps slack also covers rounding
+        the limit.
+        """
+        zz = float(np.einsum("i,i->", z, z))
+        h = self._max_sqnorm + zz
+        # |norm form| <= 2h, so nothing below overflows when 4h is finite.
+        if not math.isfinite(4.0 * h):
+            return None
+        margin = 4.0 * (self.catalog.dim + 4) * (_EPS * h + _SUBNORMAL)
+        form = self._sqnorms - 2.0 * (self.catalog.states @ z) + zz
+        limit = (np.partition(form, m - 1)[m - 1] + 2.0 * margin) * (1.0 + 8.0 * _EPS)
+        return np.flatnonzero(form <= limit)
 
     def _candidates_prefix(self, z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of (at least) the m nearest rows, globally
@@ -106,31 +151,36 @@ class NeighborIndex:
         L = self.catalog.length
         m = min(m, L)
         if self._tree is None:
-            diff = self.catalog.states - z
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            if m < L:
+            sel = self._preselect(z, m) if m < L else None
+            if sel is None:
+                sel, dist = np.arange(L), self._exact_distances(z)
+            else:
+                dist = self._exact_distances(z, sel)
+            if len(sel) > m:
                 part = np.argpartition(dist, m - 1)[:m]
                 # Extend across ties at the cutoff so index order stays exact.
-                cut = dist[part].max()
-                sel = np.flatnonzero(dist <= cut)
-            else:
-                sel = np.arange(L)
-            order = np.lexsort((sel, dist[sel]))
-            sel = sel[order]
-            return sel, dist[sel]
+                keep = dist <= dist[part].max()
+                sel, dist = sel[keep], dist[keep]
+            order = np.lexsort((sel, dist))
+            return sel[order], dist[order]
 
-        _, idx = self._tree.query(z, k=m)
-        idx = np.atleast_1d(np.asarray(idx, dtype=np.int64))
-        dist = self._exact_distances(z, idx)
+        # One neighbour more than needed shows whether a row outside the
+        # tree's m can tie with the cut.
+        tree_dist, idx = self._tree.query(z, k=min(m + 1, L))
+        tree_dist = np.atleast_1d(tree_dist)
+        sel = np.atleast_1d(np.asarray(idx, dtype=np.int64))[:m]
+        dist = self._exact_distances(z, sel)
         cut = dist.max()
-        # Re-query by radius so boundary ties missing from the tree result
-        # are included; the ball is a superset of the true prefix.
-        ball = np.asarray(self._tree.query_ball_point(z, cut * (1.0 + 1e-12) + 1e-300), dtype=np.int64)
-        dist = self._exact_distances(z, ball)
-        keep = dist <= cut
-        ball, dist = ball[keep], dist[keep]
-        order = np.lexsort((ball, dist))
-        return ball[order], dist[order]
+        radius = cut * (1.0 + 1e-12) + 1e-300
+        if m < L and tree_dist[m] <= radius:
+            # Re-query by radius so boundary ties missing from the tree
+            # result are included; the ball is a superset of the true prefix.
+            sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
+            dist = self._exact_distances(z, sel)
+            keep = dist <= cut
+            sel, dist = sel[keep], dist[keep]
+        order = np.lexsort((sel, dist))
+        return sel[order], dist[order]
 
     def query(
         self,
@@ -208,8 +258,7 @@ class NeighborIndex:
             sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
             dist = self._exact_distances(z, sel)
         else:
-            diff = self.catalog.states - z
-            dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            dist = self._exact_distances(z)
             sel = np.arange(self.catalog.length)
         keep = dist < radius
         sel, dist = sel[keep], dist[keep]

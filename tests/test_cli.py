@@ -243,6 +243,22 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory-curves", "--k-list", "5,1,5"],
+            ["mc-distances", "--catalog-source", "absent.anacat", "--k-markers", "1,5,1e0"],
+            ["dmax-scan", "--catalog", "absent.anacat", "--epsilon", "0.4", "--k-list", "5,5"],
+        ],
+        ids=["theory-curves", "mc-distances", "dmax-scan"],
+    )
+    def test_duplicated_rank_exits_2_before_any_work(self, argv, tmp_path, capsys):
+        # The catalogs do not exist: reading one would exit 4 instead.
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_catalog_exits_4(self, tmp_path, capsys):
         code = main(
             ["fit-target", "--catalog", str(tmp_path / "absent.anacat"),
@@ -297,8 +313,9 @@ class TestRerunCommand:
             lambda params: params.update(k_list=5),
             lambda params: params.update(grid_points=None),
             lambda params: params.pop("k_list"),
+            lambda params: params.update(k_list=[1, 5, 5]),
         ],
-        ids=["unknown", "not-a-list", "null", "missing"],
+        ids=["unknown", "not-a-list", "null", "missing", "duplicated-rank"],
     )
     def test_rerun_with_unbindable_parameters_exits_4(self, tamper, tmp_path, capsys):
         # --k-list is not the default, so a run that fell back to it would
@@ -318,6 +335,29 @@ class TestRerunCommand:
         assert code == 4
         assert "manifest" in capsys.readouterr().err
         assert {p.name: file_sha256(p) for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (lambda raw: raw["parameters"].update(bogus=1),
+             "do not bind: unknown ['bogus'], missing []"),
+            (lambda raw: raw.pop("seeds"), "manifest missing field 'seeds'"),
+        ],
+        ids=["parameters", "field"],
+    )
+    def test_rerun_error_without_position_names_no_offset(self, tamper, message, tmp_path, capsys):
+        out = tmp_path / "exp"
+        main(["theory-curves", "--k-list", "1", "--d-list", "2", "--grid-points", "32",
+              "--out", str(out)])
+        manifest_path = out / "manifest.json"
+        raw = json.loads(manifest_path.read_text())
+        tamper(raw)
+        manifest_path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main(["rerun", str(manifest_path)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err.endswith(message)
+        assert "byte offset" not in err
 
     def test_rerun_into_new_directory(self, tmp_path, capsys):
         out = tmp_path / "exp"

@@ -545,9 +545,11 @@ class TestRerun:
 #
 # The golden gate feeds only CLI-typed, already sorted values. Here each
 # driver is called directly, once with every default applied and once with
-# unnormalised input (tuples, unsorted duplicates, numpy scalars, Path
-# objects, ints where floats are recorded, an EOF count wider than the
-# catalog), and the manifest must record exactly these parameters and seeds.
+# unnormalised input (tuples, unsorted ranks, duplicated EOF counts, numpy
+# scalars, Path objects, ints where floats are recorded, an EOF count wider
+# than the catalog), and the manifest must record exactly these parameters
+# and seeds. (A duplicated rank exits 2 before any work; tests/test_cli.py
+# checks that.)
 
 
 @pytest.fixture(scope="module")
@@ -580,7 +582,7 @@ RECORDING_CALLS = {
     "theory-curves": (
         lambda: experiments.run_theory_curves("d/theory"),
         lambda: experiments.run_theory_curves(
-            Path("u/theory"), k_list=(i64(5), 1, 5), d_list=[2, f64(1.5)],
+            Path("u/theory"), k_list=(i64(5), 1, 3), d_list=[2, f64(1.5)],
             catalog_size=i64(1000), grid_points=i64(16),
         ),
     ),
@@ -594,7 +596,7 @@ RECORDING_CALLS = {
         lambda: experiments.run_mc_distances("d/mc", "cats/l63.anacat"),
         lambda: experiments.run_mc_distances(
             Path("u/mc"), Path("cats/l63.anacat"), l_list=(i64(600), 300), n_catalogs=i64(4),
-            target_index=i64(3), n_analogs_dim=i64(20), k_markers=[5, i64(1), 5], bw_dim=1,
+            target_index=i64(3), n_analogs_dim=i64(20), k_markers=[5, i64(1), 3], bw_dim=1,
             bw_rho=f64(4.0), bw_rescaled=f64(0.5), seed=i64(2),
         ),
     ),
@@ -608,7 +610,7 @@ RECORDING_CALLS = {
     "dmax-scan": (
         lambda: experiments.run_dmax_scan("d/dmax", "cats/wide.anacat", 0.4),
         lambda: experiments.run_dmax_scan(
-            "u/dmax", Path("cats/wide.anacat"), 1, k_list=(5, i64(1), 5),
+            "u/dmax", Path("cats/wide.anacat"), 1, k_list=(5, i64(1), 3),
             eof_counts=(3, 1, i64(3), 2, 999), l_eff=i64(50), rho_bar=f64(0.5),
             n_analogs=i64(12), n_targets=i64(10), seed=i64(1), rmsd_pairs=i64(300),
         ),
@@ -668,7 +670,7 @@ RECORDED = {
     ),
     ("theory-curves", "unnormalised"): (
         {
-            "catalog_size": 1000, "d_list": [2.0, 1.5], "grid_points": 16, "k_list": [5, 1, 5],
+            "catalog_size": 1000, "d_list": [2.0, 1.5], "grid_points": 16, "k_list": [5, 1, 3],
             "out": "u/theory",
         },
         {},
@@ -699,7 +701,7 @@ RECORDED = {
     ("mc-distances", "unnormalised"): (
         {
             "bw_dim": 1.0, "bw_rescaled": 0.5, "bw_rho": 4.0,
-            "catalog_source": "cats/l63.anacat", "k_markers": [1, 5, 5], "l_list": [600, 300],
+            "catalog_source": "cats/l63.anacat", "k_markers": [1, 3, 5], "l_list": [600, 300],
             "n_analogs_dim": 20, "n_catalogs": 4, "out": "u/mc", "seed": 2, "target_index": 3,
         },
         {"seed": 2},
@@ -730,7 +732,7 @@ RECORDED = {
     ("dmax-scan", "unnormalised"): (
         {
             "catalog": "cats/wide.anacat", "eof_counts": [1, 2, 3], "epsilon": 1.0,
-            "k_list": [1, 5, 5], "l_eff": 50, "n_analogs": 12, "n_targets": 10,
+            "k_list": [1, 3, 5], "l_eff": 50, "n_analogs": 12, "n_targets": 10,
             "out": "u/dmax", "rho_bar": 0.5, "rmsd_pairs": 300, "seed": 1,
         },
         {"seed": 1},

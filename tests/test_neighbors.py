@@ -1,6 +1,8 @@
 """Nearest-neighbour search: exactness against a brute-force oracle,
 tie-breaking, prefix consistency, and exclusion-policy integration."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +121,91 @@ def test_exactness_property(n, d, k, seed):
     k = min(k, n)
     found = NeighborIndex(Catalog(states)).query(z, k)
     _assert_close_to_oracle(found, *_brute_force(states, z, k))
+
+
+# ------------------------------------------------ preselection stays exact
+
+
+def _full_scan(states, z, k):
+    """Bitwise oracle: the package's distance formula over every row at once."""
+    diff = states - z
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    order = np.lexsort((np.arange(len(states)), dist))[:k]
+    return dist[order], order
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    d=st.integers(1, 128),
+    log_offset=st.floats(0.0, 8.0),
+    log_spread=st.floats(-6.0, 2.0),
+    member=st.booleans(),
+    k=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exhaustive_preselection_is_bitwise_exact(n, d, log_offset, log_spread, member, k, seed):
+    # A large offset against a small spread is where the norm form
+    # |x|^2 + |z|^2 - 2 x.z loses the most digits to cancellation.
+    rng = np.random.default_rng(seed)
+    offset, spread = 10.0**log_offset, 10.0**log_spread
+    states = offset + spread * rng.standard_normal((n, d))
+    z = states[rng.integers(n)] if member else offset + spread * rng.standard_normal(d)
+    k = min(k, n)
+    found = NeighborIndex(Catalog(states), backend="exhaustive").query(z, k)
+    exp_dist, exp_idx = _full_scan(states, z, k)
+    np.testing.assert_array_equal(found.indices, exp_idx)
+    np.testing.assert_array_equal(found.distances, exp_dist)
+
+
+@pytest.mark.parametrize("gap", [0, 3])
+def test_backends_agree_when_ties_straddle_the_cut(gap):
+    # Coordinates on a coarse grid tie many rows at each distance, so for
+    # some k the k-th and (k+1)-th admissible rows sit at the same distance.
+    rng = np.random.default_rng(29)
+    states = rng.integers(0, 5, size=(400, 3)).astype(np.float64)
+    cat = Catalog(states, np.arange(400, dtype=np.int64))
+    tree = NeighborIndex(cat, backend="kdtree")
+    scan = NeighborIndex(cat, backend="exhaustive")
+    policy = ExclusionPolicy(min_target_gap=gap) if gap else None
+    straddled = 0
+    for row in (0, 137, 399):
+        # Row 0's target sits off the grid, between catalog rows.
+        z = states[row] + (0.0 if row else 0.5)
+        for k in range(1, 41):
+            a = tree.query(z, k, policy, target_time=row)
+            b = scan.query(z, k, policy, target_time=row)
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            longer = scan.query(z, k + 1, policy, target_time=row)
+            np.testing.assert_array_equal(longer.indices[:k], b.indices)
+            straddled += longer.distances[k] == longer.distances[k - 1]
+        if not gap:
+            exp_dist, exp_idx = _full_scan(states, z, 40)
+            np.testing.assert_array_equal(b.indices, exp_idx)
+            np.testing.assert_array_equal(b.distances, exp_dist)
+    assert straddled > 0
+
+
+@pytest.mark.parametrize("member", [True, False])
+def test_exhaustive_search_with_overflowing_norms(member):
+    # Rows near 1e160 have squared norms beyond the float range, while their
+    # differences stay finite. The search must scan them exactly, as before,
+    # and warn about nothing. (The ranks stop short of the rows near zero,
+    # which lie at infinite distance.)
+    rng = np.random.default_rng(31)
+    near = rng.standard_normal((150, 4))
+    far = 1e160 * (1.0 + 1e-10 * rng.standard_normal((150, 4)))
+    states = np.concatenate([near, far])
+    z = states[200] if member else far[0] * (1.0 + 1e-11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        index = NeighborIndex(Catalog(states), backend="exhaustive")
+        for k in (1, 10, 149, 150):
+            found = index.query(z, k)
+            exp_dist, exp_idx = _full_scan(states, z, k)
+            np.testing.assert_array_equal(found.indices, exp_idx)
+            np.testing.assert_array_equal(found.distances, exp_dist)
 
 
 # -------------------------------------------------------------- radius query
