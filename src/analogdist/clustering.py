@@ -301,27 +301,27 @@ def _n_parameters(model: GmmModel) -> int:
     return (n - 1) + n * d + n * d * (d + 1) // 2
 
 
-def bic(model: GmmModel, data) -> float:
-    """Bayesian information criterion p*ln(M) - 2*logL on the given data."""
+def _model_posterior(model: GmmModel, data) -> tuple[np.ndarray, np.ndarray]:
+    """_posterior of the model's weighted component log densities at the
+    checked data: per-sample log-likelihoods and (n, M) posteriors."""
     x = _check_data(data)
     if x.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"data width {x.shape[1]} does not match model dimension {model.dim}"
         )
     log_prob = _log_gaussians(x.T, model.means, model.covariances, model.covariance_type)
-    ll = float(np.sum(_posterior(log_prob + np.log(model.weights)[:, None])[0]))
-    return _n_parameters(model) * math.log(len(x)) - 2.0 * ll
+    return _posterior(log_prob + np.log(model.weights)[:, None])
+
+
+def bic(model: GmmModel, data) -> float:
+    """Bayesian information criterion p*ln(M) - 2*logL on the given data."""
+    log_norm = _model_posterior(model, data)[0]
+    return _n_parameters(model) * math.log(len(log_norm)) - 2.0 * float(np.sum(log_norm))
 
 
 def responsibilities(model: GmmModel, data) -> np.ndarray:
     """Posterior component probabilities, one row per sample (rows sum to 1)."""
-    x = _check_data(data)
-    if x.shape[1] != model.dim:
-        raise DimensionMismatchError(
-            f"data width {x.shape[1]} does not match model dimension {model.dim}"
-        )
-    log_prob = _log_gaussians(x.T, model.means, model.covariances, model.covariance_type)
-    return _posterior(log_prob + np.log(model.weights)[:, None])[1].T
+    return _model_posterior(model, data)[1].T
 
 
 def assign_spatial_clusters(model: GmmModel, features) -> np.ndarray:

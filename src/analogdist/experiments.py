@@ -53,7 +53,7 @@ from .disttheory import (
     rescaled_pdf,
 )
 from .errors import FormatError
-from .lorenz import generate_trajectory
+from .lorenz import DEFAULT_BURN_IN, DEFAULT_DT, generate_trajectory
 from .manifest import build_manifest, load_manifest, save_manifest, verify_outputs
 from .neighbors import NeighborIndex
 from .surrogate import traveling_modes_surrogate
@@ -147,11 +147,29 @@ def write_csv(path, name: str, columns: dict) -> Path:
     return path
 
 
-def _plot(csv_path: Path, svg_name: str, x, y, **style) -> Path:
-    """Render a CSV the driver just wrote as an SVG line plot beside it."""
-    svg = csv_path.parent / svg_name
-    svg.write_text(line_plot(csv_path.read_text(encoding="utf-8"), x, y, **style), encoding="utf-8")
-    return svg
+def _plot(svg_path: Path, columns: dict, x, y, **style) -> Path:
+    """Render the columns of a table the driver writes to CSV as an SVG line plot."""
+    svg_path.write_text(line_plot(columns, x, y, **style), encoding="utf-8")
+    return svg_path
+
+
+def _long_form(curves: dict) -> dict:
+    """One long-form table from {label: {column: values or scalar}}.
+
+    The `series` column repeats each label along its curve and every other
+    column stacks the curves in order; a scalar fills its curve's length.
+    """
+    table = {"series": []}
+    for label, columns in curves.items():
+        n = next(len(v) for v in columns.values() if isinstance(v, (list, np.ndarray)))
+        table["series"] += [label] * n
+        for name, values in columns.items():
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            elif not isinstance(values, list):
+                values = [values] * n
+            table.setdefault(name, []).extend(values)
+    return table
 
 
 def _distinct(ranks: tuple) -> tuple:
@@ -233,6 +251,13 @@ def _driver(command: str, kind: str):
     return register
 
 
+def _check_bandwidths(**bandwidths: float) -> None:
+    """Raise ValueError naming a bandwidth that is not a positive finite number."""
+    for name, bw in bandwidths.items():
+        if not 0.0 < bw < math.inf:
+            raise ValueError(f"{name} must be a positive finite number, got {bw:g}")
+
+
 def _with_times(cat: Catalog) -> Catalog:
     if cat.times is not None:
         return cat
@@ -259,8 +284,8 @@ def _unit_params(rank: int, dim: float, catalog_size: int) -> DistParams:
 def run_gen_l63(
     out: Path,
     n: int = 20_000,
-    dt: float = 0.01,
-    burn_in: int = 10_000,
+    dt: float = DEFAULT_DT,
+    burn_in: int = DEFAULT_BURN_IN,
     stride: int = 1,
     seed: int | None = None,
 ) -> ExperimentResult:
@@ -330,11 +355,13 @@ def run_theory_curves(
     their maximum so curves of different rank share one vertical scale.
     Mean, approximate mean, and mode markers are tabulated alongside.
     """
+    if grid_points < 2:
+        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
     for d in d_list:
         if not d > 0.0:
             raise ValueError(f"dimension must be positive, got d={d:g}")
 
-    series, d_col, k_col, x_col, y_col = [], [], [], [], []
+    curves = {}
     marker_cols = {"d": [], "k": [], "mean": [], "mean_approx": [], "mode": []}
     for d in d_list:
         x_max = 0.0
@@ -349,32 +376,24 @@ def run_theory_curves(
             finite = np.isfinite(pdf)
             top = pdf[finite].max()
             normed = np.where(finite, pdf / top, np.nan)
-            label = f"d={d:g} k={k}"
-            series.extend([label] * len(grid))
-            d_col.extend([d] * len(grid))
-            k_col.extend([k] * len(grid))
-            x_col.extend(grid.tolist())
-            y_col.extend(normed.tolist())
+            curves[f"d={d:g} k={k}"] = {"d": d, "k": k, "x": grid, "density": normed}
             marker_cols["d"].append(d)
             marker_cols["k"].append(k)
             marker_cols["mean"].append(distance_mean(p) / to_r)
             marker_cols["mean_approx"].append(distance_mean_approx(p) / to_r)
             marker_cols["mode"].append(distance_mode(p) / to_r)
 
-    curves = write_csv(
-        out / "curves.csv",
-        "theory-curves",
-        {"series": series, "d": d_col, "k": k_col, "x": x_col, "density": y_col},
-    )
+    curve_cols = _long_form(curves)
+    curves_csv = write_csv(out / "curves.csv", "theory-curves", curve_cols)
     markers = write_csv(out / "markers.csv", "theory-markers", marker_cols)
-    svg = _plot(curves, "curves.svg", "x", "density", group="series",
+    svg = _plot(out / "curves.svg", curve_cols, "x", "density", group="series",
                 title="Rank-distance densities (catalog-size-free units)",
                 x_label="r * L^(1/d)", y_label="p_k / max p_k")
     summary = [
         f"tabulated {len(k_list) * len(d_list)} curves on {grid_points}-point grids",
-        f"wrote {curves.name}, {markers.name}, {svg.name} in {out}",
+        f"wrote {curves_csv.name}, {markers.name}, {svg.name} in {out}",
     ]
-    return [curves, markers, svg], summary
+    return [curves_csv, markers, svg], summary
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +416,13 @@ def run_fit_target(
     ranks = np.arange(1, n_analogs + 1, dtype=np.float64)
     curve = fit.prefactor * ranks ** (1.0 / est.dim)
     band = curve / (est.dim * np.sqrt(ranks))
-    fit_csv = write_csv(
-        out / "fit.csv",
-        "fit-target",
-        {
-            "series": ["observed"] * n_analogs
-            + ["fit"] * n_analogs
-            + ["fit-std"] * n_analogs
-            + ["fit+std"] * n_analogs,
-            "k": np.tile(ranks, 4),
-            "distance": np.concatenate([distances, curve, curve - band, curve + band]),
-        },
-    )
+    fit_cols = _long_form({
+        "observed": {"k": ranks, "distance": distances},
+        "fit": {"k": ranks, "distance": curve},
+        "fit-std": {"k": ranks, "distance": curve - band},
+        "fit+std": {"k": ranks, "distance": curve + band},
+    })
+    fit_csv = write_csv(out / "fit.csv", "fit-target", fit_cols)
     summary_csv = write_csv(
         out / "summary.csv",
         "fit-target-summary",
@@ -422,9 +436,9 @@ def run_fit_target(
             "residual": [fit.residual],
         },
     )
-    svg = _plot(fit_csv, "fit.svg", "k", "distance", group="series", dashed=("fit-std", "fit+std"),
-                title=f"Analog distances at target {target_index}", x_label="rank k",
-                y_label="distance")
+    svg = _plot(out / "fit.svg", fit_cols, "k", "distance", group="series",
+                dashed=("fit-std", "fit+std"), title=f"Analog distances at target {target_index}",
+                x_label="rank k", y_label="distance")
     summary = [
         f"target {target_index}: dim={est.dim:.3f} prefactor={fit.prefactor:.4g} "
         f"rescaling={fit.rescaling:.4g} (residual {fit.residual:.3g})",
@@ -442,17 +456,12 @@ def _kde_columns(samples_by_label: dict, bandwidth: float, theory=None):
     lo = pooled.min() - 4.0 * bandwidth
     hi = pooled.max() + 4.0 * bandwidth
     grid = np.linspace(lo, hi, _DENSITY_GRID)
-    series, xs, ys = [], [], []
+    curves = {}
     for label, samples in samples_by_label.items():
-        kde = gaussian_kde(samples, bandwidth, grid)
-        series.extend([label] * len(grid))
-        xs.extend(grid.tolist())
-        ys.extend(kde.values.tolist())
+        curves[label] = {"x": grid, "density": gaussian_kde(samples, bandwidth, grid).values}
         if theory is not None:
-            series.extend([f"{label} theory"] * len(grid))
-            xs.extend(grid.tolist())
-            ys.extend(np.asarray(theory(label, grid)).tolist())
-    return {"series": series, "x": xs, "density": ys}
+            curves[f"{label} theory"] = {"x": grid, "density": theory(label, grid)}
+    return _long_form(curves)
 
 
 @_driver("mc-distances", "dir")
@@ -484,6 +493,7 @@ def run_mc_distances(
     fluctuation is part of what the closed-form law predicts, and dividing
     it out per catalog would deflate the sample variance.
     """
+    _check_bandwidths(bw_dim=bw_dim, bw_rho=bw_rho, bw_rescaled=bw_rescaled)
     source = load_catalog(catalog_source)
     if n_catalogs < 2:
         raise ValueError("n_catalogs must be >= 2")
@@ -571,14 +581,14 @@ def run_mc_distances(
     if overlap_cols["l_a"]:
         outputs.append(write_csv(out / "rho_overlap.csv", "mc-rho-overlap", overlap_cols))
 
-    dim_csv = write_csv(out / "dim_density.csv", "mc-dim-density", _kde_columns(dims_by_label, bw_dim))
-    rho_csv = write_csv(out / "rho_density.csv", "mc-rho-density", _kde_columns(rho_by_label, bw_rho))
+    dim_cols = _kde_columns(dims_by_label, bw_dim)
+    rho_cols = _kde_columns(rho_by_label, bw_rho)
     outputs += [
-        dim_csv,
-        rho_csv,
-        _plot(dim_csv, "dim.svg", "x", "density", group="series",
+        write_csv(out / "dim_density.csv", "mc-dim-density", dim_cols),
+        write_csv(out / "rho_density.csv", "mc-rho-density", rho_cols),
+        _plot(out / "dim.svg", dim_cols, "x", "density", group="series",
               title="Estimated dimension across random catalogs", x_label="dim"),
-        _plot(rho_csv, "rho.svg", "x", "density", group="series",
+        _plot(out / "rho.svg", rho_cols, "x", "density", group="series",
               title="Density rescaling rho across random catalogs", x_label="rho"),
     ]
     for k in k_markers:
@@ -586,14 +596,10 @@ def run_mc_distances(
             size, dbar = dbar_by_label[label]
             return distance_pdf(grid, _unit_params(k, dbar, size))
 
-        k_csv = write_csv(
-            out / f"rescaled_k{k}.csv",
-            f"mc-rescaled-k{k}",
-            _kde_columns(rescaled[k], bw_rescaled, theory=theory),
-        )
+        k_cols = _kde_columns(rescaled[k], bw_rescaled, theory=theory)
         outputs += [
-            k_csv,
-            _plot(k_csv, f"rescaled_k{k}.svg", "x", "density", group="series",
+            write_csv(out / f"rescaled_k{k}.csv", f"mc-rescaled-k{k}", k_cols),
+            _plot(out / f"rescaled_k{k}.svg", k_cols, "x", "density", group="series",
                   dashed=tuple(f"L={size} theory" for size in l_list),
                   title=f"Rescaled distance r_{k} / C vs unit-catalog law", x_label="r / C"),
         ]
@@ -629,13 +635,14 @@ def run_rescaled_density(
     pooled u_k densities are then compared with the closed-form fluctuation
     law evaluated at the mean fitted dimension.
     """
-    cat = _with_times(load_catalog(catalog))
+    _check_bandwidths(bandwidth=bandwidth)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if n_analogs_dim < max(3, k_max):
         raise ValueError("n_analogs_dim must be >= max(3, k_max)")
     if n_targets < 2:
         raise ValueError("n_targets must be >= 2")
+    cat = _with_times(load_catalog(catalog))
 
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(len(cat), size=min(n_targets, len(cat)), replace=False))
@@ -665,23 +672,14 @@ def run_rescaled_density(
     lo = min(-4.5, float(u_rows.min()) - 4.0 * bandwidth)
     hi = max(4.5, float(u_rows.max()) + 4.0 * bandwidth)
     grid = np.linspace(lo, hi, _DENSITY_GRID)
-    series, k_col, u_col, y_col = [], [], [], []
+    curves = {}
     for k in range(1, k_max + 1):
         kde = gaussian_kde(u_rows[:, k - 1], bandwidth, grid)
-        series.extend([f"k={k}"] * len(grid))
-        k_col.extend([k] * len(grid))
-        u_col.extend(grid.tolist())
-        y_col.extend(kde.values.tolist())
-        series.extend([f"k={k} theory"] * len(grid))
-        k_col.extend([k] * len(grid))
-        u_col.extend(grid.tolist())
-        y_col.extend(np.asarray(rescaled_pdf(grid, k, dbar)).tolist())
-    curves_csv = write_csv(
-        out / "curves.csv",
-        "rescaled-densities",
-        {"series": series, "k": k_col, "u": u_col, "density": y_col},
-    )
-    svg = _plot(curves_csv, "rescaled.svg", "u", "density", group="series",
+        curves[f"k={k}"] = {"k": k, "u": grid, "density": kde.values}
+        curves[f"k={k} theory"] = {"k": k, "u": grid, "density": rescaled_pdf(grid, k, dbar)}
+    curve_cols = _long_form(curves)
+    curves_csv = write_csv(out / "curves.csv", "rescaled-densities", curve_cols)
+    svg = _plot(out / "rescaled.svg", curve_cols, "u", "density", group="series",
                 dashed=tuple(f"k={k} theory" for k in range(1, k_max + 1)),
                 title=f"Rescaled fluctuations, mean dim {dbar:.2f}", x_label="u")
     summary = [
@@ -717,15 +715,7 @@ def run_dmax_scan(
     if not eof_counts:
         raise ValueError("no usable eof_counts for this catalog")
 
-    scan_cols = {
-        "series": [],
-        "k": [],
-        "n_eof": [],
-        "mean_dim": [],
-        "ratio": [],
-        "passed": [],
-        "dmax_theory": [],
-    }
+    scan_curves = {}
     boundary_cols = {"series": [], "k": [], "dmax": []}
     summary = []
     criteria = [
@@ -734,10 +724,8 @@ def run_dmax_scan(
     scans = criterion_scan(data, criteria, eof_counts, n_analogs=n_analogs,
                            n_targets=n_targets, seed=seed, rmsd_pairs=rmsd_pairs)
     for k, rows in zip(k_list, scans):
-        label = f"k={k}"
-        for row in rows:
-            for key, value in {"series": label, "k": k, **vars(row)}.items():
-                scan_cols[key].append(value)
+        scan_curves[f"k={k}"] = {"k": k, **{key: [getattr(row, key) for row in rows]
+                                             for key in vars(rows[0])}}
         passing = [row.n_eof for row in rows if row.passed]
         empirical = float(max(passing)) if passing else math.nan
         boundary_cols["series"].extend(["empirical", "theory"])
@@ -748,12 +736,13 @@ def run_dmax_scan(
             f"k={k}: largest passing truncation {shown}, theory bound {rows[0].dmax_theory:.2f}"
         )
 
+    scan_cols = _long_form(scan_curves)
     scan_csv = write_csv(out / "scan.csv", "dmax-scan", scan_cols)
     boundary_csv = write_csv(out / "boundary.csv", "dmax-boundary", boundary_cols)
-    ratio_svg = _plot(scan_csv, "ratio.svg", "n_eof", "ratio", group="series",
+    ratio_svg = _plot(out / "ratio.svg", scan_cols, "n_eof", "ratio", group="series",
                       title=f"Mean rank-k distance / RMSD (epsilon={epsilon:g})",
                       x_label="EOF count")
-    boundary_svg = _plot(boundary_csv, "boundary.svg", "k", "dmax", group="series",
+    boundary_svg = _plot(out / "boundary.svg", boundary_cols, "k", "dmax", group="series",
                          dashed=("theory",), log_x=True,
                          title="Largest truncation passing the criterion", x_label="rank k",
                          y_label="dimension budget")
@@ -794,14 +783,11 @@ def run_cluster(
     labels = assign_spatial_clusters(selection.best_model, features)
     counts = np.bincount(labels, minlength=selection.best_n)
 
-    bic_csv = write_csv(
-        out / "bic.csv",
-        "cluster-bic",
-        {
-            "n_components": [n for n, _ in selection.bic_curve],
-            "bic": [b for _, b in selection.bic_curve],
-        },
-    )
+    bic_cols = {
+        "n_components": [n for n, _ in selection.bic_curve],
+        "bic": [b for _, b in selection.bic_curve],
+    }
+    bic_csv = write_csv(out / "bic.csv", "cluster-bic", bic_cols)
     assign_csv = write_csv(
         out / "assignments.csv",
         "cluster-assignments",
@@ -817,8 +803,8 @@ def run_cluster(
     )
     model_path = out / "model.json"
     model_path.write_text(selection.best_model.to_json() + "\n", encoding="utf-8")
-    bic_svg = _plot(bic_csv, "bic.svg", "n_components", "bic", title="BIC across mixture sizes",
-                    x_label="components")
+    bic_svg = _plot(out / "bic.svg", bic_cols, "n_components", "bic",
+                    title="BIC across mixture sizes", x_label="components")
     summary = [
         f"selected {selection.best_n} components (BIC curve over "
         f"{[n for n, _ in selection.bic_curve]})",
@@ -850,11 +836,15 @@ def run_dim_stats(
     whose sigma is a quarter of smooth_window_days), weekly 10-90 %
     quantile spreads, and a histogram.
     """
-    cat = _with_times(load_catalog(catalog))
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
     if steps_per_day < 1:
         raise ValueError("steps_per_day must be >= 1")
+    if not smooth_window_days > 0.0:
+        raise ValueError(f"smooth_window_days must be > 0, got {smooth_window_days:g}")
+    if hist_bins < 1:
+        raise ValueError(f"hist_bins must be >= 1, got {hist_bins}")
+    cat = _with_times(load_catalog(catalog))
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
     distances = NeighborIndex(cat).row_distances(picks, n_analogs, exclusion_gap)
@@ -866,11 +856,8 @@ def run_dim_stats(
     )
 
     density, edges = np.histogram(dims, bins=hist_bins, density=True)
-    hist_csv = write_csv(
-        out / "hist.csv",
-        "dim-histogram",
-        {"bin_center": 0.5 * (edges[:-1] + edges[1:]), "density": density},
-    )
+    hist_cols = {"bin_center": 0.5 * (edges[:-1] + edges[1:]), "density": density}
+    hist_csv = write_csv(out / "hist.csv", "dim-histogram", hist_cols)
 
     days = tvals // steps_per_day
     uniq_days, inverse = np.unique(days, return_inverse=True)
@@ -878,28 +865,23 @@ def run_dim_stats(
     counts = np.bincount(inverse)
     daily_mean = sums / counts
     smoothed = gaussian_smooth(daily_mean, sigma=smooth_window_days / 4.0)
-    daily_csv = write_csv(
-        out / "daily.csv",
-        "dim-daily",
-        {"day": uniq_days, "mean_dim": daily_mean, "smoothed": smoothed, "n_samples": counts},
-    )
+    daily_cols = {"day": uniq_days, "mean_dim": daily_mean, "smoothed": smoothed,
+                  "n_samples": counts}
+    daily_csv = write_csv(out / "daily.csv", "dim-daily", daily_cols)
 
     weeks = tvals // (7 * steps_per_day)
     uniq_weeks, w_inverse = np.unique(weeks, return_inverse=True)
     q10, q90 = np.array(
         [np.quantile(dims[w_inverse == wi], (0.10, 0.90)) for wi in range(len(uniq_weeks))]
     ).T
-    weekly_csv = write_csv(
-        out / "weekly.csv",
-        "dim-weekly-spread",
-        {"week": uniq_weeks, "q10": q10, "q90": q90, "spread": q90 - q10},
-    )
+    weekly_cols = {"week": uniq_weeks, "q10": q10, "q90": q90, "spread": q90 - q10}
+    weekly_csv = write_csv(out / "weekly.csv", "dim-weekly-spread", weekly_cols)
 
-    hist_svg = _plot(hist_csv, "hist.svg", "bin_center", "density",
+    hist_svg = _plot(out / "hist.svg", hist_cols, "bin_center", "density",
                      title="Local dimension histogram", x_label="dim")
-    daily_svg = _plot(daily_csv, "daily.svg", "day", ("mean_dim", "smoothed"),
+    daily_svg = _plot(out / "daily.svg", daily_cols, "day", ("mean_dim", "smoothed"),
                       title="Daily mean local dimension", x_label="day", y_label="dim")
-    weekly_svg = _plot(weekly_csv, "weekly.svg", "week", "spread",
+    weekly_svg = _plot(out / "weekly.svg", weekly_cols, "week", "spread",
                        title="Weekly 10-90 % dimension spread", x_label="week")
     summary = [
         f"{len(picks)} targets: dim mean {dims.mean():.3f} std {dims.std(ddof=1):.3f} "

@@ -1,19 +1,20 @@
-"""Minimal SVG line plots rendered directly from CSV text.
+"""Minimal SVG line plots rendered from a table's columns.
 
-Plots are a pure function of the CSV content and the styling arguments:
-same input, same bytes out. That keeps figure artifacts reproducible and
-diffable without pulling in a plotting dependency. Only line plots are
-provided; histograms are drawn as precomputed bin profiles.
+A plot takes the same {column: values} mapping its CSV table is written
+from. The CSV holds each float in its shortest round-trip form, so the
+plot has the same bytes as one drawn from that file's text would. It is
+a pure function of the values and the styling arguments: same input,
+same bytes out. That keeps figure artifacts reproducible and diffable
+without pulling in a plotting dependency. Only line plots are provided;
+histograms are drawn as precomputed bin profiles.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from xml.sax.saxutils import escape
 
-__all__ = ["line_plot", "read_csv_columns"]
+__all__ = ["line_plot"]
 
 PALETTE = (
     "#1f77b4",
@@ -34,28 +35,14 @@ _MARGIN_TOP = 34.0
 _MARGIN_BOTTOM = 52.0
 
 
-def read_csv_columns(csv_text: str) -> dict[str, list[str]]:
-    """Parse CSV text into {column: list of raw cells}, skipping '#' comment lines."""
-    lines = [ln for ln in csv_text.splitlines() if ln and not ln.startswith("#")]
-    if not lines:
-        raise ValueError("no CSV rows to plot")
-    reader = csv.reader(io.StringIO("\n".join(lines)))
-    header = next(reader, [])
-    # As csv.DictReader: header order of first appearance, the last duplicate's
-    # cells, short rows padded with "", extra cells ignored, empty rows skipped.
-    position = {name: j for j, name in enumerate(header)}
-    if not position:
-        raise ValueError("CSV has no header row")
-    width = len(header)
-    rows = [row + [""] * (width - len(row)) for row in reader if row]
-    return {name: [row[j] for row in rows] for name, j in position.items()}
+def _values(column) -> list:
+    """A column (list or 1-d array) as a list of Python scalars."""
+    return column.tolist() if hasattr(column, "tolist") else list(column)
 
 
-def _to_float(cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        return math.nan
+def _floats(column) -> list[float]:
+    """A column as floats; None reads as NaN, as its blank CSV cell does."""
+    return [math.nan if v is None else float(v) for v in _values(column)]
 
 
 def _nice_step(rough: float) -> float:
@@ -89,12 +76,15 @@ def _fmt_tick(value: float) -> str:
 def _collect_series(columns, x, y_cols, group):
     if group is not None and len(y_cols) > 1:
         raise ValueError("use either a group column or several y columns, not both")
-    for name in (x, *y_cols) + (() if group is None else (group,)):
+    names = (x, *y_cols) + (() if group is None else (group,))
+    for name in names:
         if name not in columns:
             raise ValueError(f"column {name!r} not in CSV header")
-    xs = [_to_float(cell) for cell in columns[x]]
-    ys = {y: [_to_float(cell) for cell in columns[y]] for y in y_cols}
-    labels = columns[group] if group is not None else None
+    if len({len(columns[name]) for name in names}) > 1:
+        raise ValueError("plotted columns must all have the same length")
+    xs = _floats(columns[x])
+    ys = {y: _floats(columns[y]) for y in y_cols}
+    labels = [str(v) for v in _values(columns[group])] if group is not None else None
     series: dict[str, list[tuple[float, float]]] = {}
     for i, xv in enumerate(xs):
         if not math.isfinite(xv):
@@ -105,14 +95,13 @@ def _collect_series(columns, x, y_cols, group):
                 continue
             label = labels[i] if labels is not None else y
             series.setdefault(label, []).append((xv, yv))
-    series = {k: v for k, v in series.items() if v}
     if not series:
         raise ValueError("no finite data points to plot")
     return series
 
 
 def line_plot(
-    csv_text: str,
+    columns: dict,
     x: str,
     y: str | tuple[str, ...],
     *,
@@ -125,18 +114,19 @@ def line_plot(
     height: int = 440,
     log_x: bool = False,
 ) -> str:
-    """Render one SVG line plot from CSV text.
+    """Render one SVG line plot from a table's {column: values} mapping.
 
-    x and y name the coordinate columns; y may be a tuple, in which case
-    each column becomes its own line. Alternatively group names a column
-    whose distinct values become separate lines (legend order follows first
-    appearance). Series listed in `dashed` are stroked with a dash pattern,
-    which is how theory overlays are distinguished from empirical curves.
-    Cells that do not parse as finite floats are dropped point-wise, so a
-    blank "theory" cell simply leaves a gap in that series.
+    Each column is a list or 1-d array, all of one length, and the keys
+    are the table's CSV header. x and y name the coordinate columns; y may
+    be a tuple, in which case each column becomes its own line.
+    Alternatively group names a column whose distinct values become
+    separate lines (legend order follows first appearance). Series listed
+    in `dashed` are stroked with a dash pattern, which is how theory
+    overlays are distinguished from empirical curves.
+    Points whose x or y is NaN, None or infinite are dropped point-wise, so
+    a missing "theory" value simply leaves a gap in that series.
     """
     y_cols = (y,) if isinstance(y, str) else tuple(y)
-    columns = read_csv_columns(csv_text)
     series = _collect_series(columns, x, y_cols, group)
     if log_x:
         series = {

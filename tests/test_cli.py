@@ -21,7 +21,7 @@ from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
 from analogdist.manifest import file_sha256
 from analogdist.neighbors import NeighborIndex
-from analogdist.svgplot import read_csv_columns
+from csvcols import read_columns
 
 _ROOT = Path(__file__).resolve().parents[1]
 
@@ -211,7 +211,7 @@ class TestExitCodes:
         code = main(["fit-target", "--catalog", str(path), "--target-index", "150", "--K", "30",
                      *gap, "--out", str(tmp_path / "fit")])
         assert code == 0, capsys.readouterr().err
-        cols = read_csv_columns((tmp_path / "fit" / "fit.csv").read_text())
+        cols = read_columns(tmp_path / "fit" / "fit.csv")
         observed = [float(d) for s, d in zip(cols["series"], cols["distance"]) if s == "observed"]
         numbered = NeighborIndex(Catalog(states, np.arange(300)))
         assert observed == numbered.row_distances([150], 30, 3)[0].tolist()
@@ -241,6 +241,35 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,parameter",
+        [
+            (["theory-curves", "--grid-points", "0"], "grid_points"),
+            (["rescaled-density", "--catalog", "CAT", "--n-targets", "20", "--K-dim", "20",
+              "--exclusion-gap", "3", "--bandwidth", "0"], "bandwidth"),
+            (["rescaled-density", "--catalog", "CAT", "--n-targets", "20", "--K-dim", "20",
+              "--exclusion-gap", "3", "--bandwidth", "nan"], "bandwidth"),
+            (["mc-distances", "--catalog-source", "CAT", "--L-list", "200", "--n-catalogs", "4",
+              "--K-dim", "20", "--k-markers", "1,5", "--bw-rho", "0"], "bw_rho"),
+            (["mc-distances", "--catalog-source", "CAT", "--L-list", "200", "--n-catalogs", "4",
+              "--K-dim", "20", "--k-markers", "1,5", "--bw-rescaled", "inf"], "bw_rescaled"),
+            (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
+              "--smooth-window-days", "0"], "smooth_window_days"),
+            (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
+              "--hist-bins", "0"], "hist_bins"),
+        ],
+        ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
+             "smooth-window-days-0", "hist-bins-0"],
+    )
+    def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
+                                                capsys):
+        # Apart from the one bad value, each request runs on the tiny catalog.
+        out = tmp_path / "out"
+        argv = [str(tiny_catalog) if a == "CAT" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"{parameter} must be" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

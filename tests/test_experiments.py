@@ -21,7 +21,7 @@ from analogdist.catalog import load_catalog
 from analogdist.clustering import GmmModel
 from analogdist.experiments import CSV_SCHEMA, RUNNERS, worker_count, write_csv
 from analogdist.manifest import file_sha256, load_manifest, verify_outputs
-from analogdist.svgplot import read_csv_columns
+from csvcols import read_columns
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +40,6 @@ def small_surrogate(tmp_path_factory):
 
 def _csv_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
-
-
-def _columns(path):
-    return read_csv_columns(path.read_text(encoding="utf-8"))
 
 
 def _assert_svg(path):
@@ -67,7 +63,7 @@ class TestWriteCsv:
     def test_float_cells_round_trip_and_nan_is_blank(self, tmp_path):
         values = [0.1, 1.0 / 3.0, math.nan, -1e-17]
         path = write_csv(tmp_path / "t.csv", "demo", {"v": values})
-        cells = _columns(path)["v"]
+        cells = read_columns(path)["v"]
         assert cells[2] == ""
         for cell, value in zip(cells[:2] + cells[3:], values[:2] + values[3:]):
             assert float(cell) == value
@@ -78,7 +74,7 @@ class TestWriteCsv:
             "demo",
             {"flag": [True, False], "gap": [None, None], "n": [np.int64(3), 4]},
         )
-        cols = _columns(path)
+        cols = read_columns(path)
         assert cols["flag"] == ["true", "false"]
         assert cols["gap"] == ["", ""]
         assert cols["n"] == ["3", "4"]
@@ -226,7 +222,7 @@ class TestTheoryCurves:
 
     def test_each_curve_peaks_at_one(self, theory_result):
         out, _ = theory_result
-        cols = _columns(out / "curves.csv")
+        cols = read_columns(out / "curves.csv")
         density = np.array([float(v) if v else np.nan for v in cols["density"]])
         for label in set(cols["series"]):
             rows = [i for i, s in enumerate(cols["series"]) if s == label]
@@ -234,7 +230,7 @@ class TestTheoryCurves:
 
     def test_markers_ordered_mode_below_mean(self, theory_result):
         out, _ = theory_result
-        cols = _columns(out / "markers.csv")
+        cols = read_columns(out / "markers.csv")
         assert len(cols["k"]) == 2
         for mode, mean in zip(cols["mode"], cols["mean"]):
             assert float(mode) < float(mean)
@@ -243,13 +239,13 @@ class TestTheoryCurves:
 class TestFitTarget:
     def test_fit_artifacts(self, small_l63, tmp_path):
         res = experiments.run_fit_target(tmp_path, small_l63, target_index=100, n_analogs=20)
-        cols = _columns(tmp_path / "summary.csv")
+        cols = read_columns(tmp_path / "summary.csv")
         dim = float(cols["dim"][0])
         prefactor = float(cols["prefactor"][0])
         rescaling = float(cols["rescaling"][0])
         assert 0.5 < dim < 6.0
         assert rescaling == pytest.approx(prefactor * 3000.0 ** (1.0 / dim), rel=1e-12)
-        assert len(_columns(tmp_path / "fit.csv")["k"]) == 4 * 20
+        assert len(read_columns(tmp_path / "fit.csv")["k"]) == 4 * 20
         _assert_svg(tmp_path / "fit.svg")
         _assert_manifest_clean(tmp_path)
         assert "dim=" in res.summary[0]
@@ -300,7 +296,7 @@ class TestMcDistances:
 
     def test_catalog_table_shape(self, mc_result):
         out, _ = mc_result
-        cols = _columns(out / "catalogs.csv")
+        cols = read_columns(out / "catalogs.csv")
         assert len(cols["L"]) == 2 * 6
         assert set(cols["L"]) == {"400", "800"}
         rho = np.array([float(v) for v in cols["rho"]])
@@ -308,14 +304,14 @@ class TestMcDistances:
 
     def test_ks_table(self, mc_result):
         out, _ = mc_result
-        cols = _columns(out / "ks.csv")
+        cols = read_columns(out / "ks.csv")
         assert len(cols["k"]) == 4
         for cell in cols["p_value"]:
             assert 0.0 <= float(cell) <= 1.0
 
     def test_rho_overlap_ratio_definition(self, mc_result):
         out, _ = mc_result
-        cols = _columns(out / "rho_overlap.csv")
+        cols = read_columns(out / "rho_overlap.csv")
         assert len(cols["ratio"]) == 1
         assert float(cols["ratio"][0]) == pytest.approx(
             float(cols["w1"][0]) / float(cols["pooled_std"][0]), rel=1e-12
@@ -351,8 +347,8 @@ class TestRescaledDensity:
         experiments.run_rescaled_density(
             tmp_path, small_l63, k_max=3, n_analogs_dim=12, n_targets=40, exclusion_gap=5
         )
-        assert len(_columns(tmp_path / "targets.csv")["target"]) == 40
-        cols = _columns(tmp_path / "curves.csv")
+        assert len(read_columns(tmp_path / "targets.csv")["target"]) == 40
+        cols = read_columns(tmp_path / "curves.csv")
         assert set(cols["series"]) == {
             "k=1", "k=1 theory", "k=2", "k=2 theory", "k=3", "k=3 theory",
         }
@@ -386,11 +382,11 @@ class TestDmaxScan:
             n_targets=30,
             rmsd_pairs=2000,
         )
-        cols = _columns(tmp_path / "scan.csv")
+        cols = read_columns(tmp_path / "scan.csv")
         assert len(cols["n_eof"]) == 2 * 3
         assert set(cols["n_eof"]) == {"1", "2", "3"}
         assert set(cols["passed"]) <= {"true", "false"}
-        boundary = _columns(tmp_path / "boundary.csv")
+        boundary = read_columns(tmp_path / "boundary.csv")
         assert boundary["series"] == ["empirical", "theory", "empirical", "theory"]
         _assert_svg(tmp_path / "ratio.svg")
         _assert_svg(tmp_path / "boundary.svg")
@@ -409,7 +405,7 @@ class TestDmaxScan:
             n_analogs=10, n_targets=20, rmsd_pairs=2000,
         )
         assert len(calls) == 1
-        assert set(_columns(tmp_path / "scan.csv")["k"]) == {"1", "4", "9"}
+        assert set(read_columns(tmp_path / "scan.csv")["k"]) == {"1", "4", "9"}
 
     def test_no_usable_counts(self, small_surrogate, tmp_path):
         with pytest.raises(ValueError, match="eof_counts"):
@@ -427,14 +423,14 @@ class TestCluster:
             candidates=(1, 2),
             seeds_per_candidate=2,
         )
-        bic = _columns(tmp_path / "bic.csv")
+        bic = read_columns(tmp_path / "bic.csv")
         assert bic["n_components"] == ["1", "2"]
-        assignments = _columns(tmp_path / "assignments.csv")
+        assignments = read_columns(tmp_path / "assignments.csv")
         assert len(assignments["cluster"]) == 600
         model = GmmModel.from_json((tmp_path / "model.json").read_text())
         assert model.n_components in (1, 2)
         assert {int(c) for c in assignments["cluster"]} <= set(range(model.n_components))
-        assert len(_columns(tmp_path / "eof.csv")["component"]) == 3
+        assert len(read_columns(tmp_path / "eof.csv")["component"]) == 3
         _assert_svg(tmp_path / "bic.svg")
         _assert_manifest_clean(tmp_path)
         assert "selected" in res.summary[0]
@@ -463,14 +459,14 @@ class TestDimStats:
             smooth_window_days=8,
             hist_bins=10,
         )
-        dims = _columns(tmp_path / "dims.csv")
+        dims = read_columns(tmp_path / "dims.csv")
         assert len(dims["dim"]) == 80
-        daily = _columns(tmp_path / "daily.csv")
+        daily = read_columns(tmp_path / "daily.csv")
         assert len(daily["day"]) > 10
-        weekly = _columns(tmp_path / "weekly.csv")
+        weekly = read_columns(tmp_path / "weekly.csv")
         for q10, q90 in zip(weekly["q10"], weekly["q90"]):
             assert float(q90) >= float(q10)
-        assert len(_columns(tmp_path / "hist.csv")["density"]) == 10
+        assert len(read_columns(tmp_path / "hist.csv")["density"]) == 10
         for name in ("hist.svg", "daily.svg", "weekly.svg"):
             _assert_svg(tmp_path / name)
         _assert_manifest_clean(tmp_path)
