@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "KdeEstimate",
@@ -85,6 +84,10 @@ def ks_test(samples, cdf) -> tuple[float, float]:
     """KS statistic plus its (exact one-sample) p-value."""
     n = len(np.asarray(samples).reshape(-1))
     d = ks_distance(samples, cdf)
+    # Loaded here, not at the top: scipy.stats would add about a second to
+    # the start-up of every CLI command, and only mc-distances calls this.
+    from scipy import stats
+
     p = float(stats.kstwo.sf(d, n))
     return d, min(1.0, max(0.0, p))
 
@@ -119,7 +122,9 @@ def gaussian_smooth(values, sigma: float) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64).reshape(-1)
     if not sigma > 0.0:
         raise ValueError("sigma must be positive")
-    half = max(1, int(math.ceil(4.0 * sigma)))
+    # Kernel taps farther than len(values) - 1 from the centre never meet a
+    # sample, so clipping there leaves every output value unchanged.
+    half = max(1, min(int(math.ceil(4.0 * sigma)), len(values) - 1))
     x = np.arange(-half, half + 1, dtype=np.float64)
     kernel = np.exp(-0.5 * (x / sigma) ** 2)
     # The centred slice of the full convolution; mode="same" would return

@@ -840,8 +840,8 @@ def run_dim_stats(
         raise ValueError("n_targets must be >= 1")
     if steps_per_day < 1:
         raise ValueError("steps_per_day must be >= 1")
-    if not smooth_window_days > 0.0:
-        raise ValueError(f"smooth_window_days must be > 0, got {smooth_window_days:g}")
+    if not (math.isfinite(smooth_window_days) and smooth_window_days > 0.0):
+        raise ValueError(f"smooth_window_days must be finite and > 0, got {smooth_window_days:g}")
     if hist_bins < 1:
         raise ValueError(f"hist_bins must be >= 1, got {hist_bins}")
     cat = _with_times(load_catalog(catalog))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .catalog import Catalog, ExclusionPolicy, apply_exclusion
 from .errors import DimensionMismatchError, NonFiniteError, NotEnoughAnalogsError
@@ -99,8 +98,13 @@ class NeighborIndex:
             )
         self.catalog = catalog
         self.backend = backend
-        self._tree = cKDTree(catalog.states) if backend == "kdtree" else None
-        if self._tree is None:
+        if backend == "kdtree":
+            # Loaded on first use, so commands that build no tree skip it.
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(catalog.states)
+        else:
+            self._tree = None
             # einsum overflows to inf without a warning; an infinite norm
             # only sends queries to the full scan (see _preselect).
             self._sqnorms = np.einsum("ij,ij->i", catalog.states, catalog.states)

@@ -258,10 +258,12 @@ class TestExitCodes:
             (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
               "--smooth-window-days", "0"], "smooth_window_days"),
             (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
+              "--smooth-window-days", "inf"], "smooth_window_days"),
+            (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
               "--hist-bins", "0"], "hist_bins"),
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
-             "smooth-window-days-0", "hist-bins-0"],
+             "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
                                                 capsys):

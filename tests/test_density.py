@@ -6,6 +6,7 @@ implementation, and W1 is cross-checked against scipy's wasserstein_distance.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,39 @@ def test_smooth_of_long_series_equals_same_mode_convolution():
         np.ones_like(values), kernel, mode="same"
     )
     assert gaussian_smooth(values, sigma).tobytes() == expected.tobytes()
+
+
+def _smooth_unclipped(values, sigma):
+    """gaussian_smooth with the kernel at its full 4-sigma half-width."""
+    values = np.asarray(values, dtype=np.float64)
+    half = max(1, int(math.ceil(4.0 * sigma)))
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1, dtype=np.float64) / sigma) ** 2)
+    span = slice(half, half + len(values))
+    num = np.convolve(values, kernel, mode="full")[span]
+    den = np.convolve(np.ones_like(values), kernel, mode="full")[span]
+    return num / den
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 7, 60, 161, 400])
+@pytest.mark.parametrize("window_days", [0.3, 1.0, 80.0, 640.0, 1e4])
+def test_smooth_with_clipped_kernel_equals_unclipped_bitwise(length, window_days):
+    values = np.random.default_rng(length).normal(size=length)
+    sigma = window_days / 4.0
+    expected = _smooth_unclipped(values, sigma)
+    assert gaussian_smooth(values, sigma).tobytes() == expected.tobytes()
+
+
+def test_smooth_memory_is_bounded_by_series_length():
+    # Unclipped, a 1e9-day window would ask for a 2e9-sample kernel (16 GB).
+    values = np.random.default_rng(5).normal(size=60)
+    tracemalloc.start()
+    try:
+        out = gaussian_smooth(values, sigma=1e9 / 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert_allclose(out, values.mean(), rtol=0.0, atol=1e-12)
 
 
 def test_smooth_validation():

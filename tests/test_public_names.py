@@ -16,8 +16,9 @@ import analogdist
 from analogdist.neighbors import NeighborIndex
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(analogdist.__path__))
-# `errors` only defines exception classes and exports no list.
-WITHOUT_ALL = {"errors"}
+# `errors` only defines exception classes and `__main__` only runs the CLI;
+# neither exports a list.
+WITHOUT_ALL = {"errors", "__main__"}
 
 
 @pytest.mark.parametrize("name", MODULES)

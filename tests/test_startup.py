@@ -1,0 +1,67 @@
+"""Start-up cost of the CLI: SciPy submodules load only where they are used.
+
+Each CLI command runs in a fresh process, so whatever `analogdist.cli`
+imports is paid by every command. `scipy.stats` serves only the KS p-value
+of `mc-distances`, and `scipy.spatial` only the k-d tree backend; both are
+imported inside the code that calls them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+_LAZY = ("scipy.stats", "scipy.spatial")
+
+_PROBE = f"""
+import json, sys
+import analogdist.cli
+import numpy as np
+from analogdist.catalog import Catalog
+from analogdist.density import ks_test
+from analogdist.neighbors import NeighborIndex
+
+lazy = {_LAZY!r}
+before = [m for m in lazy if m in sys.modules]
+rng = np.random.default_rng(0)
+catalog = Catalog(rng.normal(size=(300, 3)))
+target = rng.normal(size=3)
+tree = NeighborIndex(catalog, backend="kdtree").query(target, 5)
+scan = NeighborIndex(catalog, backend="exhaustive").query(target, 5)
+d, p = ks_test(rng.uniform(size=50), lambda s: np.clip(s, 0.0, 1.0))
+print(json.dumps({{
+    "before": before,
+    "after": [m for m in lazy if m in sys.modules],
+    "same": tree.distances.tobytes() == scan.distances.tobytes()
+    and tree.indices.tolist() == scan.indices.tolist(),
+    "ks": [d, p],
+}}))
+"""
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from this checkout."""
+    path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], cwd=_ROOT, env=env, capture_output=True, text=True
+    )
+
+
+def test_cli_import_leaves_stats_and_spatial_unloaded_until_used():
+    run = _fresh("-c", _PROBE)
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert seen["before"] == []
+    assert seen["after"] == list(_LAZY)
+    assert seen["same"]
+    d, p = seen["ks"]
+    assert 0.0 < d < 1.0 and 0.0 <= p <= 1.0
+
+
+def test_python_dash_m_runs_the_cli():
+    run = _fresh("-m", "analogdist", "--help")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: analogdist")
