@@ -9,6 +9,7 @@ payload and, if present, little-endian int64 times.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,21 +76,12 @@ class Catalog:
 
 @dataclass(frozen=True)
 class ExclusionPolicy:
-    """Rules removing candidates too close in time to the target or to each other.
-
-    min_target_gap: candidates with |time - target_time| < gap are discarded
-        (0 disables the rule). The default of 36 hours removes same-weather
-        neighbours for hourly catalogs.
-    dedup_neighbor_runs: within the candidate set, maximal runs of
-        time-adjacent candidates (consecutive timestamps, gap of one unit)
-        are collapsed to a single member chosen uniformly at random.
-    rng_seed: seed for that random choice; a fixed seed makes the policy
-        deterministic for a given candidate set.
+    """Temporal exclusion: candidates with |time - target_time| < min_target_gap
+    are discarded (0 disables the rule). The default of 36 hours removes
+    same-weather neighbours for hourly catalogs.
     """
 
     min_target_gap: int = 36
-    dedup_neighbor_runs: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.min_target_gap < 0:
@@ -123,48 +115,22 @@ def apply_exclusion(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Filter a candidate list (catalog indices plus distances) by a policy.
 
-    Returns the retained (indices, distances) sorted by ascending distance,
-    ties broken by ascending index. Candidates closer than min_target_gap to
-    target_time are dropped; if dedup_neighbor_runs is set, each maximal run
-    of time-adjacent candidates keeps exactly one random member.
+    Returns the candidates at least min_target_gap from target_time, sorted
+    by ascending distance with ties broken by ascending index.
     """
     indices = np.asarray(indices, dtype=np.int64)
     distances = np.asarray(distances, dtype=np.float64)
     if indices.shape != distances.shape or indices.ndim != 1:
         raise ValueError("indices and distances must be 1-d arrays of equal length")
 
-    needs_times = policy.min_target_gap > 0 or policy.dedup_neighbor_runs
-    if needs_times and times is None:
-        raise ValueError("exclusion policy needs catalog times")
-    if policy.min_target_gap > 0 and target_time is None:
-        raise ValueError("min_target_gap needs a target time")
-
-    keep = np.ones(len(indices), dtype=bool)
-    if policy.min_target_gap > 0 and len(indices):
-        cand_times = times[indices]
-        keep &= np.abs(cand_times - int(target_time)) >= policy.min_target_gap
-
-    indices = indices[keep]
-    distances = distances[keep]
-
-    if policy.dedup_neighbor_runs and len(indices) > 1:
-        cand_times = times[indices]
-        order = np.argsort(cand_times, kind="stable")
-        sorted_times = cand_times[order]
-        # Runs are maximal chains with consecutive timestamps.
-        run_start = np.flatnonzero(np.diff(sorted_times) != 1)
-        starts = np.concatenate(([0], run_start + 1))
-        ends = np.concatenate((run_start + 1, [len(sorted_times)]))
-        rng = np.random.default_rng(policy.rng_seed)
-        chosen = []
-        for a, b in zip(starts, ends):
-            if b - a == 1:
-                chosen.append(order[a])
-            else:
-                chosen.append(order[a + rng.integers(b - a)])
-        sel = np.array(sorted(chosen), dtype=np.intp)
-        indices = indices[sel]
-        distances = distances[sel]
+    gap = policy.min_target_gap
+    if gap > 0:
+        if times is None:
+            raise ValueError("exclusion policy needs catalog times")
+        if target_time is None:
+            raise ValueError("min_target_gap needs a target time")
+        keep = np.abs(times[indices] - int(target_time)) >= gap
+        indices, distances = indices[keep], distances[keep]
 
     order = np.lexsort((indices, distances))
     return indices[order], distances[order]
@@ -192,55 +158,57 @@ def save_catalog(c: Catalog, path) -> None:
 
 
 def load_catalog(path) -> Catalog:
-    """Read a catalog container, validating the header and payload length."""
+    """Read a catalog container, validating the header and payload length.
+
+    The payload is read straight into the state and time arrays, so peak
+    memory is about the payload size.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline(_MAX_HEADER_BYTES + 1)
+        if not line.endswith(b"\n"):
+            raise FormatError("missing header line", 0)
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            raise FormatError("header is not valid JSON", 0) from None
+        if not isinstance(header, dict):
+            raise FormatError("header must be a JSON object", 0)
 
-    newline = raw.find(b"\n")
-    if newline < 0 or newline > _MAX_HEADER_BYTES:
-        raise FormatError("missing header line", 0)
-    try:
-        header = json.loads(raw[:newline].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        raise FormatError("header is not valid JSON", 0) from None
-    if not isinstance(header, dict):
-        raise FormatError("header must be a JSON object", 0)
+        offset = len(line)
+        try:
+            version = int(header["schema_version"])
+            length = int(header["L"])
+            dim = int(header["D"])
+            dtype = header["dtype"]
+            has_times = bool(header["has_times"])
+            metadata = header.get("metadata", {}) or {}
+        except (KeyError, TypeError, ValueError):
+            raise FormatError("header is missing required fields", 0) from None
+        if version != SCHEMA_VERSION:
+            raise FormatError(f"unsupported schema_version {version}", 0)
+        if dtype != "f64":
+            raise FormatError(f"unsupported dtype {dtype!r}", 0)
+        if length < 1 or dim < 1:
+            raise FormatError(f"invalid shape L={length}, D={dim}", 0)
 
-    offset = newline + 1
-    try:
-        version = int(header["schema_version"])
-        length = int(header["L"])
-        dim = int(header["D"])
-        dtype = header["dtype"]
-        has_times = bool(header["has_times"])
-        metadata = header.get("metadata", {}) or {}
-    except (KeyError, TypeError, ValueError):
-        raise FormatError("header is missing required fields", 0) from None
-    if version != SCHEMA_VERSION:
-        raise FormatError(f"unsupported schema_version {version}", 0)
-    if dtype != "f64":
-        raise FormatError(f"unsupported dtype {dtype!r}", 0)
-    if length < 1 or dim < 1:
-        raise FormatError(f"invalid shape L={length}, D={dim}", 0)
+        expected = offset + length * dim * 8 + (length * 8 if has_times else 0)
+        if size < expected:
+            raise FormatError(
+                f"payload truncated: expected {expected} bytes, file has {size}", size
+            )
+        if size > expected:
+            raise FormatError("trailing bytes after payload", expected)
 
-    n_state_bytes = length * dim * 8
-    n_time_bytes = length * 8 if has_times else 0
-    expected = offset + n_state_bytes + n_time_bytes
-    if len(raw) < expected:
-        raise FormatError(
-            f"payload truncated: expected {expected} bytes, file has {len(raw)}",
-            len(raw),
-        )
-    if len(raw) > expected:
-        raise FormatError("trailing bytes after payload", expected)
-
-    states = np.frombuffer(raw, dtype="<f8", count=length * dim, offset=offset)
-    states = states.reshape(length, dim).copy()
-    times = None
-    if has_times:
-        times = np.frombuffer(
-            raw, dtype="<i8", count=length, offset=offset + n_state_bytes
-        ).copy()
+        states = np.empty((length, dim), dtype="<f8")
+        times = np.empty(length, dtype="<i8") if has_times else None
+        got = offset + fh.readinto(states)
+        if has_times:
+            got += fh.readinto(times)
+        if got != expected:
+            raise FormatError(
+                f"payload truncated: expected {expected} bytes, read {got}", got
+            )
 
     try:
         return Catalog(
@@ -265,7 +233,8 @@ def load_catalog_csv(path, has_times: bool = False, name: str = "", units: str =
         if data.shape[1] < 2:
             raise FormatError("CSV with times needs at least two columns", 0)
         times = data[:, 0]
-        if not np.allclose(times, np.round(times)):
+        # The bound also rejects NaN and infinity, and keeps the cast exact.
+        if not (np.all(np.abs(times) < 2.0**63) and np.all(times == np.round(times))):
             raise FormatError("time column must hold integers", 0)
         return Catalog(
             states=data[:, 1:],

@@ -198,14 +198,14 @@ def _kmeanspp_centers(x: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
 def _em(
     x: np.ndarray,
     n_components: int,
-    rng_seed: int,
+    seed: int,
     cov_type: str,
     max_iter: int,
     tol: float,
     reg: float,
 ) -> GmmModel:
     m, d = x.shape
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     means = _kmeanspp_centers(x, n_components, rng)
     global_cov = np.cov(x, rowvar=False, ddof=0).reshape(d, d)
     if cov_type == "diag":

@@ -195,36 +195,24 @@ class NeighborIndex:
     ) -> AnalogSet:
         """The n_analogs nearest admissible rows.
 
-        With a policy, candidates are retrieved in distance order and the
-        exclusion rules are applied to that candidate set, growing it until
-        n_analogs survivors remain. Raises NotEnoughAnalogsError reporting
-        the admissible count when the catalog cannot supply enough rows.
+        With a policy of gap = min_target_gap, the nearest
+        n_analogs + 2*gap - 1 rows are retrieved in distance order and the
+        gap rule is applied to them once. Catalog times are strictly
+        increasing integers, so at most 2*gap - 1 rows fall inside the
+        target's gap: the prefix holds the n_analogs nearest admissible rows,
+        or is the whole catalog. Raises NotEnoughAnalogsError reporting the
+        admissible count when the catalog cannot supply enough rows.
         """
         z = self._check_target(target)
         if n_analogs < 1:
             raise ValueError("n_analogs must be >= 1")
-        L = self.catalog.length
-
-        if policy is None:
-            if n_analogs > L:
-                raise NotEnoughAnalogsError(n_analogs, L)
-            idx, dist = self._candidates_prefix(z, n_analogs)
-            return AnalogSet(z, dist[:n_analogs], idx[:n_analogs])
-
-        # Catalog times are distinct integers, so at most 2*gap - 1 rows fall
-        # inside the target's gap and one round suffices; the set grows only
-        # when dedup_neighbor_runs drops more.
-        m = n_analogs + max(2 * policy.min_target_gap - 1, 0)
-        while True:
-            idx, dist = self._candidates_prefix(z, m)
-            kept_idx, kept_dist = apply_exclusion(
-                idx, dist, target_time, self.catalog.times, policy
-            )
-            if len(kept_idx) >= n_analogs:
-                return AnalogSet(z, kept_dist[:n_analogs], kept_idx[:n_analogs])
-            if len(idx) >= L:
-                raise NotEnoughAnalogsError(n_analogs, len(kept_idx))
-            m = min(L, max(2 * m, m + n_analogs - len(kept_idx)))
+        gap = policy.min_target_gap if policy is not None else 0
+        idx, dist = self._candidates_prefix(z, n_analogs + max(2 * gap - 1, 0))
+        if policy is not None:
+            idx, dist = apply_exclusion(idx, dist, target_time, self.catalog.times, policy)
+        if len(idx) < n_analogs:
+            raise NotEnoughAnalogsError(n_analogs, len(idx))
+        return AnalogSet(z, dist[:n_analogs], idx[:n_analogs])
 
     def row_distances(self, rows, n_analogs: int, gap: int = 0) -> np.ndarray:
         """(len(rows), n_analogs) distances from each catalog row to its

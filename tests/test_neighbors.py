@@ -276,11 +276,12 @@ def test_policy_requests_grow_until_enough_survivors():
 
 @pytest.mark.parametrize("backend", ["kdtree", "exhaustive"])
 def test_policy_query_takes_one_exclusion_round(backend, monkeypatch):
-    # Contiguous times: at most 2*gap - 1 rows sit inside the target's gap.
+    # Strictly increasing integer times put at most 2*gap - 1 rows inside the
+    # target's gap, so one prefix of n + 2*gap - 1 rows settles every query.
     rng = np.random.default_rng(17)
     states = np.cumsum(rng.normal(size=(600, 3)), axis=0)
-    cat = Catalog(states, np.arange(600, dtype=np.int64))
-    index = NeighborIndex(cat, backend=backend)
+    contiguous = np.arange(600, dtype=np.int64)
+    irregular = np.cumsum(rng.integers(1, 4, size=600)).astype(np.int64)
     real, calls = neighbors.apply_exclusion, []
 
     def counting(*args, **kwargs):
@@ -288,14 +289,26 @@ def test_policy_query_takes_one_exclusion_round(backend, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(neighbors, "apply_exclusion", counting)
-    gap, k = 12, 15
-    for row in (0, 250, 599):
-        calls.clear()
-        found = index.query(states[row], k, ExclusionPolicy(min_target_gap=gap), target_time=row)
-        assert len(calls) == 1
-        dist, order = _brute_force(states, states[row], len(states))
-        admissible = np.abs(order - row) >= gap
-        _assert_close_to_oracle(found, dist[admissible][:k], order[admissible][:k])
+    short = []
+    # The last two gaps exceed the catalog's 600 rows.
+    for times, gap, k in [(contiguous, 12, 15), (irregular, 12, 15), (irregular, 700, 15), (irregular, 700, 250)]:
+        index = NeighborIndex(Catalog(states, times), backend=backend)
+        policy = ExclusionPolicy(min_target_gap=gap)
+        for row in (0, 250, 599):
+            calls.clear()
+            dist, order = _brute_force(states, states[row], len(states))
+            admissible = np.abs(times[order] - times[row]) >= gap
+            if admissible.sum() < k:
+                with pytest.raises(NotEnoughAnalogsError) as err:
+                    index.query(states[row], k, policy, target_time=int(times[row]))
+                assert (err.value.requested, err.value.admissible) == (k, admissible.sum())
+                short.append(err.value.admissible)
+            else:
+                found = index.query(states[row], k, policy, target_time=int(times[row]))
+                _assert_close_to_oracle(found, dist[admissible][:k], order[admissible][:k])
+            assert len(calls) == 1
+    # Exhaustion is reached both with no admissible row and with a few.
+    assert 0 in short and max(short) > 0
 
 
 # ----------------------------------------------------------- row distances
