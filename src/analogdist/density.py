@@ -7,12 +7,10 @@ drivers: Gaussian kernels with an explicit, caller-chosen bandwidth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "KdeEstimate",
     "gaussian_kde",
     "ks_distance",
     "ks_test",
@@ -20,44 +18,22 @@ __all__ = [
     "gaussian_smooth",
 ]
 
-_GRID_POINTS = 512
-_GRID_PAD_BANDWIDTHS = 4.0
 # Chunk KDE evaluation so sample x grid broadcasting stays within ~40 MB.
 _KDE_CHUNK = 64
 
 
-@dataclass(frozen=True)
-class KdeEstimate:
-    """Gaussian kernel density evaluated on a fixed grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-    bandwidth: float
-    n_samples: int
-
-    def __call__(self, x) -> np.ndarray | float:
-        out = np.interp(x, self.grid, self.values)
-        return out if np.ndim(x) else float(out)
-
-
-def gaussian_kde(samples, bandwidth: float, grid=None) -> KdeEstimate:
-    """Kernel density (1/(n h)) sum phi((x - s_i)/h) on an evaluation grid.
+def gaussian_kde(samples, bandwidth: float, grid) -> np.ndarray:
+    """Kernel density (1/(n h)) sum phi((x - s_i)/h) at each point of grid.
 
     There is no automatic bandwidth rule: the figures this feeds fix the
-    bandwidth explicitly. The default grid spans the sample range padded by
-    4 bandwidths with 512 points.
+    bandwidth explicitly.
     """
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
     if not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
-    if grid is None:
-        lo = samples.min() - _GRID_PAD_BANDWIDTHS * bandwidth
-        hi = samples.max() + _GRID_PAD_BANDWIDTHS * bandwidth
-        grid = np.linspace(lo, hi, _GRID_POINTS)
-    else:
-        grid = np.asarray(grid, dtype=np.float64).reshape(-1)
+    grid = np.asarray(grid, dtype=np.float64).reshape(-1)
 
     norm = 1.0 / (len(samples) * bandwidth * math.sqrt(2.0 * math.pi))
     values = np.empty_like(grid)
@@ -65,7 +41,7 @@ def gaussian_kde(samples, bandwidth: float, grid=None) -> KdeEstimate:
         block = grid[start : start + _KDE_CHUNK, None]
         z = (block - samples[None, :]) / bandwidth
         values[start : start + _KDE_CHUNK] = norm * np.exp(-0.5 * z * z).sum(axis=1)
-    return KdeEstimate(grid=grid, values=values, bandwidth=float(bandwidth), n_samples=len(samples))
+    return values
 
 
 def ks_distance(samples, cdf) -> float:

@@ -56,8 +56,8 @@ def estimate_local_dimension(analogs: AnalogSet | np.ndarray) -> LocalDimEstimat
     """Local dimension from sorted analog distances.
 
     Requires at least 3 strictly positive distances; a zero distance means
-    the target itself sits in the catalog and must be removed upstream
-    (AnalogSet.without_self_match). Raises DegenerateDistancesError when the
+    the target itself, or a copy of it, sits in the catalog, and the target
+    must be excluded upstream (NeighborIndex.row_distances does so). Raises DegenerateDistancesError when the
     distances are tied at the largest rank and carry no scaling information.
     """
     r = _distances(analogs)

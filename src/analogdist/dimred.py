@@ -32,8 +32,6 @@ __all__ = [
     "rmsd",
     "dmax_for_rank",
     "dmax_from_threshold",
-    "ReductionCriterion",
-    "ScanRow",
     "criterion_scan",
 ]
 
@@ -187,71 +185,55 @@ def dmax_from_threshold(epsilon: float, rho_bar: float, catalog_size: int, rank:
     return math.log(catalog_size / rank) / math.log(rho_bar / epsilon)
 
 
-@dataclass(frozen=True)
-class ReductionCriterion:
-    """Pass/fail rule for truncated catalogs.
-
-    epsilon: tolerated mean analog distance as a fraction of the RMSD.
-    rank: which analog's mean distance is constrained.
-    l_eff: effective (decorrelated) catalog size entering the theory line;
-        None resolves to length/24, i.e. roughly daily decorrelation for
-        hourly catalogs.
-    rho_bar: typical density rescaling of targets, usually in 0.4-0.7.
-    """
-
-    epsilon: float
-    rank: int = 25
-    l_eff: int | None = None
-    rho_bar: float = 0.55
-
-    def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.l_eff is not None and self.l_eff < 2:
-            raise ValueError("l_eff must be >= 2")
-        if not self.rho_bar > 0.0:
-            raise ValueError("rho_bar must be positive")
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    """One EOF count of a criterion scan."""
-
-    n_eof: int
-    mean_dim: float
-    ratio: float
-    passed: bool
-    dmax_theory: float
-
-
 def criterion_scan(
     data,
-    criteria,
+    epsilon: float,
+    ranks,
     eof_counts,
+    l_eff: int | None = None,
+    rho_bar: float = 0.55,
     n_analogs: int = 40,
     n_targets: int = 200,
     seed: int = 0,
     rmsd_pairs: int = 50_000,
-) -> list[list[ScanRow]]:
-    """Evaluate reduction criteria across EOF truncations.
+) -> list[dict]:
+    """Evaluate the reduction criterion of each rank across EOF truncations.
+
+    epsilon: tolerated mean analog distance as a fraction of the RMSD.
+    ranks: which analogs' mean distances are constrained, one criterion each.
+    l_eff: effective (decorrelated) catalog size entering the theory line;
+        None resolves to length/24, i.e. roughly daily decorrelation for
+        hourly catalogs.
+    rho_bar: typical density rescaling of targets, usually in 0.4-0.7.
 
     For each count, the catalog is projected on its leading components, the
     local dimension is estimated at n_analogs analogs over a fixed random
-    target subset, and for each criterion the mean rank-``criterion.rank``
-    distance is compared with the RMSD of the projected catalog. Targets,
-    RMSD pairs, the basis and one analog query per target are shared across
-    counts and criteria, so rows differ only by truncation and rank. Returns
-    one ScanRow list per criterion, in order; since neighbour search returns
-    a (distance, index)-ordered prefix, each equals a scan of that criterion
-    alone.
+    target subset, and for each rank k the mean rank-k distance is compared
+    with the RMSD of the projected catalog. Targets, RMSD pairs, the basis
+    and one analog query per target are shared across counts and ranks, so
+    results differ only by truncation and rank. Returns, per rank in the
+    given order, the columns n_eof, mean_dim, ratio and passed (one entry
+    per count, ascending) and the scalar dmax_theory; since neighbour search
+    returns a (distance, index)-ordered prefix, each equals a scan of that
+    rank alone. Every check runs before the EOF fit.
     """
     x = _as_matrix(data)
     n_rows = len(x)
-    criteria = tuple(criteria)
-    if not criteria:
-        raise ValueError("criteria must be non-empty")
+    ranks = [int(k) for k in ranks]
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
+    if not rho_bar > 0.0:
+        raise ValueError("rho_bar must be positive")
+    if l_eff is None:
+        l_eff = max(2, n_rows // 24)
+    elif l_eff < 2:
+        raise ValueError("l_eff must be >= 2")
+    if not ranks:
+        raise ValueError("ranks must be non-empty")
+    if min(ranks) < 1:
+        raise ValueError("rank must be >= 1")
+    if len(set(ranks)) < len(ranks):
+        raise ValueError(f"ranks must be distinct, got {ranks}")
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
     counts = sorted(set(int(n) for n in eof_counts))
@@ -259,28 +241,31 @@ def criterion_scan(
         raise ValueError("eof_counts must be non-empty")
     if counts[0] < 1 or counts[-1] > min(n_rows, x.shape[1]):
         raise ValueError("eof_counts out of range for the data")
-    k_query = max(n_analogs, *(c.rank for c in criteria))
+    k_query = max(n_analogs, *ranks)
     if k_query + 1 > n_rows:
         raise ValueError("catalog too small for the requested analog count")
-
-    dmax_theory = []
-    for c in criteria:
-        l_eff = c.l_eff if c.l_eff is not None else max(2, n_rows // 24)
-        if c.rank > l_eff:
-            raise ValueError(f"rank {c.rank} exceeds the effective catalog size L_eff = {l_eff}")
-        dmax_theory.append(dmax_from_threshold(c.epsilon, c.rho_bar, l_eff, c.rank))
+    for k in ranks:
+        if k > l_eff:
+            raise ValueError(f"rank {k} exceeds the effective catalog size L_eff = {l_eff}")
 
     rng = np.random.default_rng(seed)
     targets = rng.choice(n_rows, size=min(n_targets, n_rows), replace=False)
     basis = eof_fit(x, counts[-1])
 
-    scans = [[] for _ in criteria]
+    scans = [
+        {"n_eof": [], "mean_dim": [], "ratio": [], "passed": [],
+         "dmax_theory": dmax_from_threshold(epsilon, rho_bar, l_eff, k)}
+        for k in ranks
+    ]
     for n in counts:
         reduced = project(basis, x, n)
         scale = rmsd(reduced, n_pairs=rmsd_pairs, seed=seed)
         dist = NeighborIndex(Catalog(reduced)).row_distances(targets, k_query)
         mean_dim = float(np.mean([estimate_local_dimension(r[:n_analogs]).dim for r in dist]))
-        for c, theory, rows in zip(criteria, dmax_theory, scans):
-            ratio = float(np.mean(dist[:, c.rank - 1])) / scale
-            rows.append(ScanRow(n, mean_dim, ratio, bool(ratio < c.epsilon), theory))
+        for k, cols in zip(ranks, scans):
+            ratio = float(np.mean(dist[:, k - 1])) / scale
+            cols["n_eof"].append(n)
+            cols["mean_dim"].append(mean_dim)
+            cols["ratio"].append(ratio)
+            cols["passed"].append(bool(ratio < epsilon))
     return scans

@@ -34,6 +34,7 @@ import numpy as np
 
 from .catalog import (
     Catalog,
+    ExclusionPolicy,
     load_catalog,
     save_catalog,
     subsample_without_replacement,
@@ -41,7 +42,7 @@ from .catalog import (
 from .clustering import assign_spatial_clusters, select_n_clusters
 from .density import gaussian_kde, gaussian_smooth, ks_test, wasserstein1
 from .dimension import estimate_local_dimension, fit_prefactor, rescale_distances
-from .dimred import ReductionCriterion, criterion_scan, eof_fit, project
+from .dimred import criterion_scan, eof_fit, project
 from .disttheory import (
     DistParams,
     distance_mean,
@@ -172,12 +173,12 @@ def _long_form(curves: dict) -> dict:
     return table
 
 
-def _distinct(ranks: tuple) -> tuple:
-    """The ranks unchanged; a rank given twice raises ValueError."""
-    repeated = sorted({k for k in ranks if ranks.count(k) > 1})
+def _distinct(values: tuple) -> tuple:
+    """The values unchanged; a value given twice raises ValueError."""
+    repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
-        raise ValueError(f"rank list {list(ranks)} repeats {repeated}")
-    return ranks
+        raise ValueError(f"list {list(values)} repeats {repeated}")
+    return values
 
 
 def _coerce(kind, value):
@@ -185,8 +186,9 @@ def _coerce(kind, value):
 
     Only `T | None` admits None; `tuple[T, ...]` takes any iterable but a
     string; `Annotated[T, f, ...]` applies each f in turn after converting
-    to T (every rank list is annotated with `_distinct`, and those also
-    annotated with `sorted` are recorded in ascending order).
+    to T (every rank, size and dimension list is annotated with
+    `_distinct`, and those also annotated with `sorted` are recorded in
+    ascending order).
     """
     origin, args = get_origin(kind), get_args(kind)
     if type(None) in args:
@@ -290,10 +292,10 @@ def run_gen_l63(
     seed: int | None = None,
 ) -> ExperimentResult:
     """Integrate the three-variable convection system and save the samples."""
-    traj = generate_trajectory(n_steps=n, dt=dt, burn_in=burn_in, stride=stride, seed=seed)
+    states = generate_trajectory(n_steps=n, dt=dt, burn_in=burn_in, stride=stride, seed=seed)
     cat = Catalog(
-        states=traj.states,
-        times=np.arange(len(traj.states), dtype=np.int64),
+        states=states,
+        times=np.arange(len(states), dtype=np.int64),
         name="lorenz-63",
         units="model units",
     )
@@ -344,7 +346,7 @@ def run_gen_surrogate(
 def run_theory_curves(
     out: Path,
     k_list: Annotated[tuple[int, ...], _distinct] = (1, 5, 30),
-    d_list: tuple[float, ...] = (1.3, 2.0, 5.0),
+    d_list: Annotated[tuple[float, ...], _distinct] = (1.3, 2.0, 5.0),
     catalog_size: int = 100_000,
     grid_points: int = _DENSITY_GRID,
 ) -> ExperimentResult:
@@ -360,6 +362,8 @@ def run_theory_curves(
     for d in d_list:
         if not d > 0.0:
             raise ValueError(f"dimension must be positive, got d={d:g}")
+        if d == math.inf:
+            raise ValueError(f"dimension must be finite, got d={d:g}")
 
     curves = {}
     marker_cols = {"d": [], "k": [], "mean": [], "mean_approx": [], "mode": []}
@@ -458,7 +462,7 @@ def _kde_columns(samples_by_label: dict, bandwidth: float, theory=None):
     grid = np.linspace(lo, hi, _DENSITY_GRID)
     curves = {}
     for label, samples in samples_by_label.items():
-        curves[label] = {"x": grid, "density": gaussian_kde(samples, bandwidth, grid).values}
+        curves[label] = {"x": grid, "density": gaussian_kde(samples, bandwidth, grid)}
         if theory is not None:
             curves[f"{label} theory"] = {"x": grid, "density": theory(label, grid)}
     return _long_form(curves)
@@ -468,7 +472,7 @@ def _kde_columns(samples_by_label: dict, bandwidth: float, theory=None):
 def run_mc_distances(
     out: Path,
     catalog_source: str,
-    l_list: tuple[int, ...] = (10_000, 100_000),
+    l_list: Annotated[tuple[int, ...], _distinct] = (10_000, 100_000),
     n_catalogs: int = 200,
     target_index: int = 0,
     n_analogs_dim: int = 150,
@@ -494,7 +498,7 @@ def run_mc_distances(
     it out per catalog would deflate the sample variance.
     """
     _check_bandwidths(bw_dim=bw_dim, bw_rho=bw_rho, bw_rescaled=bw_rescaled)
-    source = load_catalog(catalog_source)
+    source = _with_times(load_catalog(catalog_source))
     if n_catalogs < 2:
         raise ValueError("n_catalogs must be >= 2")
     if not 0 <= target_index < len(source):
@@ -503,14 +507,18 @@ def run_mc_distances(
         raise ValueError("k_markers must lie within 1..n_analogs_dim")
 
     target = source.states[target_index]
+    target_time = int(source.times[target_index])
     k_top = n_analogs_dim
+    # A gap of one drops the target's own row where a subsample holds it; a
+    # copy of the target at another time stays in and fails the fit.
+    policy = ExclusionPolicy(min_target_gap=1)
 
     def one_catalog(job):
         li, size, i = job
         sub = subsample_without_replacement(source, size, seed=seed + li * n_catalogs + i)
         # One query per subsample: a scan costs less than building a k-d tree.
-        found = NeighborIndex(sub, backend="exhaustive").query(target, k_top + 1).without_self_match()
-        distances = found.distances[:k_top]
+        index = NeighborIndex(sub, backend="exhaustive")
+        distances = index.query(target, k_top, policy, target_time).distances
         return estimate_local_dimension(distances).dim, distances
 
     jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
@@ -674,8 +682,8 @@ def run_rescaled_density(
     grid = np.linspace(lo, hi, _DENSITY_GRID)
     curves = {}
     for k in range(1, k_max + 1):
-        kde = gaussian_kde(u_rows[:, k - 1], bandwidth, grid)
-        curves[f"k={k}"] = {"k": k, "u": grid, "density": kde.values}
+        density = gaussian_kde(u_rows[:, k - 1], bandwidth, grid)
+        curves[f"k={k}"] = {"k": k, "u": grid, "density": density}
         curves[f"k={k} theory"] = {"k": k, "u": grid, "density": rescaled_pdf(grid, k, dbar)}
     curve_cols = _long_form(curves)
     curves_csv = write_csv(out / "curves.csv", "rescaled-densities", curve_cols)
@@ -715,28 +723,23 @@ def run_dmax_scan(
     if not eof_counts:
         raise ValueError("no usable eof_counts for this catalog")
 
-    scan_curves = {}
+    scans = criterion_scan(data, epsilon, k_list, eof_counts, l_eff=l_eff, rho_bar=rho_bar,
+                           n_analogs=n_analogs, n_targets=n_targets, seed=seed,
+                           rmsd_pairs=rmsd_pairs)
+    scan_cols = _long_form({f"k={k}": {"k": k, **cols} for k, cols in zip(k_list, scans)})
     boundary_cols = {"series": [], "k": [], "dmax": []}
     summary = []
-    criteria = [
-        ReductionCriterion(epsilon=epsilon, rank=k, l_eff=l_eff, rho_bar=rho_bar) for k in k_list
-    ]
-    scans = criterion_scan(data, criteria, eof_counts, n_analogs=n_analogs,
-                           n_targets=n_targets, seed=seed, rmsd_pairs=rmsd_pairs)
-    for k, rows in zip(k_list, scans):
-        scan_curves[f"k={k}"] = {"k": k, **{key: [getattr(row, key) for row in rows]
-                                             for key in vars(rows[0])}}
-        passing = [row.n_eof for row in rows if row.passed]
+    for k, cols in zip(k_list, scans):
+        passing = [n for n, ok in zip(cols["n_eof"], cols["passed"]) if ok]
         empirical = float(max(passing)) if passing else math.nan
         boundary_cols["series"].extend(["empirical", "theory"])
         boundary_cols["k"].extend([k, k])
-        boundary_cols["dmax"].extend([empirical, rows[0].dmax_theory])
+        boundary_cols["dmax"].extend([empirical, cols["dmax_theory"]])
         shown = "none" if math.isnan(empirical) else f"{empirical:g}"
         summary.append(
-            f"k={k}: largest passing truncation {shown}, theory bound {rows[0].dmax_theory:.2f}"
+            f"k={k}: largest passing truncation {shown}, theory bound {cols['dmax_theory']:.2f}"
         )
 
-    scan_cols = _long_form(scan_curves)
     scan_csv = write_csv(out / "scan.csv", "dmax-scan", scan_cols)
     boundary_csv = write_csv(out / "boundary.csv", "dmax-boundary", boundary_cols)
     ratio_svg = _plot(out / "ratio.svg", scan_cols, "n_eof", "ratio", group="series",

@@ -15,7 +15,6 @@ from .errors import NonFiniteError
 
 __all__ = [
     "L63Params",
-    "Trajectory",
     "generate_trajectory",
     "DEFAULT_DT",
     "DEFAULT_BURN_IN",
@@ -38,25 +37,6 @@ class L63Params:
     sigma: float = 10.0
     rho: float = 28.0
     beta: float = 8.0 / 3.0
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled trajectory: ``states[i]`` is the state after ``burn_in + i*stride``
-    integration steps of size ``dt``."""
-
-    states: np.ndarray  # (n, 3) float64
-    dt: float
-    stride: int
-
-    def __post_init__(self):
-        if self.states.ndim != 2 or self.states.shape[1] != 3:
-            raise ValueError("states must be an (n, 3) array")
-        if len(self.states) == 0:
-            raise ValueError("trajectory must contain at least one state")
-
-    def __len__(self) -> int:
-        return len(self.states)
 
 
 def _rk4(x1, x2, x3, sigma, rho, beta, dt):
@@ -104,8 +84,9 @@ def generate_trajectory(
     params: L63Params = L63Params(),
     seed: int | None = None,
     jitter: float = 1e-3,
-) -> Trajectory:
-    """Integrate from s0 and return n_steps samples taken every ``stride`` steps.
+) -> np.ndarray:
+    """Integrate from s0 and return the (n_steps, 3) samples taken every
+    ``stride`` steps: row i is the state after ``burn_in + i*stride`` steps.
 
     The first ``burn_in`` steps are discarded so that samples start on the
     attractor. The ODE itself is deterministic; ``seed`` only controls an
@@ -163,4 +144,4 @@ def generate_trajectory(
         out[i, 1] = x2
         out[i, 2] = x3
 
-    return Trajectory(states=out, dt=dt, stride=stride)
+    return out

@@ -46,12 +46,10 @@ class AnalogSet:
     """Result of a neighbour query: distances sorted ascending with their
     catalog row indices. May be empty for radius queries."""
 
-    target: np.ndarray
     distances: np.ndarray
     indices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
         object.__setattr__(self, "distances", np.asarray(self.distances, dtype=np.float64))
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
         if self.distances.shape != self.indices.shape:
@@ -61,11 +59,6 @@ class AnalogSet:
 
     def __len__(self) -> int:
         return len(self.distances)
-
-    def without_self_match(self) -> "AnalogSet":
-        """Drop the target itself: entries at zero distance."""
-        keep = self.distances > 0.0
-        return AnalogSet(self.target, self.distances[keep], self.indices[keep])
 
 
 class NeighborIndex:
@@ -212,7 +205,7 @@ class NeighborIndex:
             idx, dist = apply_exclusion(idx, dist, target_time, self.catalog.times, policy)
         if len(idx) < n_analogs:
             raise NotEnoughAnalogsError(n_analogs, len(idx))
-        return AnalogSet(z, dist[:n_analogs], idx[:n_analogs])
+        return AnalogSet(dist[:n_analogs], idx[:n_analogs])
 
     def row_distances(self, rows, n_analogs: int, gap: int = 0) -> np.ndarray:
         """(len(rows), n_analogs) distances from each catalog row to its
@@ -259,4 +252,4 @@ class NeighborIndex:
 
         if policy is not None:
             sel, dist = apply_exclusion(sel, dist, target_time, self.catalog.times, policy)
-        return AnalogSet(z, dist, sel)
+        return AnalogSet(dist, sel)

@@ -22,10 +22,10 @@ def l63_source():
     The stride keeps consecutive rows far enough apart that random
     subsamples behave like independent draws from the invariant measure.
     """
-    traj = generate_trajectory(n_steps=2_000_000, dt=0.01, burn_in=10_000, stride=20, seed=11)
+    states = generate_trajectory(n_steps=2_000_000, dt=0.01, burn_in=10_000, stride=20, seed=11)
     return Catalog(
-        traj.states,
-        np.arange(len(traj.states), dtype=np.int64),
+        states,
+        np.arange(len(states), dtype=np.int64),
         name="l63-long",
         units="model units",
     )

@@ -21,7 +21,7 @@ from scipy.special import gammaincinv
 from analogdist.catalog import Catalog
 from analogdist.clustering import select_n_clusters
 from analogdist.dimension import estimate_local_dimension
-from analogdist.dimred import ReductionCriterion, criterion_scan, dmax_for_rank
+from analogdist.dimred import criterion_scan, dmax_for_rank
 from analogdist.disttheory import (
     DistParams,
     distance_mean,
@@ -67,8 +67,8 @@ def test_01_attractor_dimension_mean_and_spread(l63_source):
     dims = np.empty(len(targets))
     for j, row in enumerate(targets):
         # One extra neighbor absorbs a possible zero-distance self match.
-        aset = index.query(l63_source.states[row], 151).without_self_match()
-        dims[j] = estimate_local_dimension(aset.distances[:150]).dim
+        found = index.query(l63_source.states[row], 151).distances
+        dims[j] = estimate_local_dimension(found[found > 0.0][:150]).dim
 
     mean, std = float(dims.mean()), float(dims.std(ddof=1))
     assert 1.90 <= mean <= 2.20, f"mean dimension {mean:.4f} outside [1.90, 2.20]"
@@ -261,22 +261,24 @@ def test_08_dimension_budget_boundary_scaling():
     ranks = (1, 2, 4, 8, 16, 32, 64, 128)
     scans = criterion_scan(
         data,
-        [ReductionCriterion(epsilon=eps, rank=rank, l_eff=n) for rank in ranks],
+        eps,
+        ranks,
         counts,
+        l_eff=n,
         n_analogs=40,
         n_targets=200,
         seed=0,
         rmsd_pairs=50_000,
     )
     points = []
-    for rank, rows in zip(ranks, scans):
-        ratios = np.array([r.ratio for r in rows])
+    for rank, cols in zip(ranks, scans):
+        ratios = np.array(cols["ratio"])
         above = ratios > eps
         if above.all() or not above.any() or int(np.argmax(above)) == 0:
             continue
         # Log-interpolate the component count where the ratio crosses eps.
         i = int(np.argmax(above))
-        m_lo, m_hi = rows[i - 1].n_eof, rows[i].n_eof
+        m_lo, m_hi = cols["n_eof"][i - 1], cols["n_eof"][i]
         y0, y1 = math.log(ratios[i - 1]), math.log(ratios[i])
         boundary = m_lo + (math.log(eps) - y0) * (m_hi - m_lo) / (y1 - y0)
         points.append((math.log(rank), boundary))

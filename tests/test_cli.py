@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from analogdist import __version__, experiments
-from analogdist.catalog import Catalog, save_catalog
+from analogdist.catalog import Catalog, load_catalog, save_catalog
 from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
 from analogdist.manifest import file_sha256
@@ -261,9 +261,10 @@ class TestExitCodes:
               "--smooth-window-days", "inf"], "smooth_window_days"),
             (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
               "--hist-bins", "0"], "hist_bins"),
+            (["theory-curves", "--d-list", "2,inf"], "dimension"),
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
-             "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0"],
+             "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "d-list-inf"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
                                                 capsys):
@@ -280,8 +281,12 @@ class TestExitCodes:
             ["theory-curves", "--k-list", "5,1,5"],
             ["mc-distances", "--catalog-source", "absent.anacat", "--k-markers", "1,5,1e0"],
             ["dmax-scan", "--catalog", "absent.anacat", "--epsilon", "0.4", "--k-list", "5,5"],
+            # Repeated sizes or dimensions would give one curve but two summaries or markers.
+            ["mc-distances", "--catalog-source", "absent.anacat", "--L-list", "1000,1000"],
+            ["theory-curves", "--d-list", "2,2", "--k-list", "1"],
         ],
-        ids=["theory-curves", "mc-distances", "dmax-scan"],
+        ids=["theory-curves", "mc-distances", "dmax-scan", "mc-distances-sizes",
+             "theory-curves-dimensions"],
     )
     def test_duplicated_rank_exits_2_before_any_work(self, argv, tmp_path, capsys):
         # The catalogs do not exist: reading one would exit 4 instead.
@@ -289,6 +294,25 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         assert "repeats" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("markers", ["1,30", "1,5"])
+    def test_mc_distances_with_a_copy_of_the_target_exits_2_before_writing(
+        self, markers, tmp_path, capsys
+    ):
+        # Only the target's own row is excluded; its copies at rows 2000 and
+        # 2001 are analogs at distance zero, which no dimension fit accepts.
+        path = tmp_path / "dup.anacat"
+        experiments.run_gen_l63(path, n=3000, burn_in=1000, seed=2)
+        states = load_catalog(path).states.copy()
+        states[2000] = states[2001] = states[10]
+        save_catalog(Catalog(states, np.arange(3000)), path)
+        out = tmp_path / "mc"
+        code = main(["mc-distances", "--catalog-source", str(path), "--L-list", "2900",
+                     "--n-catalogs", "4", "--target", "10", "--K-dim", "30",
+                     "--k-markers", markers, "--out", str(out)])
+        assert code == 2
+        assert "distances must be positive" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_missing_catalog_exits_4(self, tmp_path, capsys):
         code = main(

@@ -28,62 +28,56 @@ from analogdist.density import (
 # gaussian_kde
 
 
+def _padded_grid(samples, bandwidth):
+    """The drivers' KDE grid: the sample range padded by 4 bandwidths, 512 points."""
+    samples = np.asarray(samples)
+    return np.linspace(samples.min() - 4.0 * bandwidth, samples.max() + 4.0 * bandwidth, 512)
+
+
 def test_kde_of_repeated_point_is_single_gaussian():
     # n copies of one value: the density is exactly one Gaussian bump.
-    est = gaussian_kde(np.full(7, 2.5), bandwidth=0.4)
-    assert_allclose(est.values, stats.norm.pdf(est.grid, loc=2.5, scale=0.4), rtol=1e-12)
-    assert est.n_samples == 7
-    assert est.bandwidth == 0.4
+    grid = _padded_grid([2.5], 0.4)
+    values = gaussian_kde(np.full(7, 2.5), bandwidth=0.4, grid=grid)
+    assert_allclose(values, stats.norm.pdf(grid, loc=2.5, scale=0.4), rtol=1e-12)
 
 
 def test_kde_is_mean_of_per_sample_kernels():
     rng = np.random.default_rng(3)
     samples = rng.normal(size=40)
     grid = np.linspace(-4.0, 4.0, 257)
-    est = gaussian_kde(samples, bandwidth=0.25, grid=grid)
+    values = gaussian_kde(samples, bandwidth=0.25, grid=grid)
     oracle = np.mean([stats.norm.pdf(grid, loc=s, scale=0.25) for s in samples], axis=0)
-    assert_allclose(est.values, oracle, rtol=1e-12, atol=1e-300)
+    assert_allclose(values, oracle, rtol=1e-12, atol=1e-300)
 
 
 def test_kde_union_is_weighted_mean_of_parts():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=30), rng.normal(loc=2.0, size=50)
     grid = np.linspace(-5.0, 7.0, 101)
-    va = gaussian_kde(a, 0.3, grid).values
-    vb = gaussian_kde(b, 0.3, grid).values
-    vu = gaussian_kde(np.concatenate([a, b]), 0.3, grid).values
+    va = gaussian_kde(a, 0.3, grid)
+    vb = gaussian_kde(b, 0.3, grid)
+    vu = gaussian_kde(np.concatenate([a, b]), 0.3, grid)
     assert_allclose(vu, (30 * va + 50 * vb) / 80, rtol=1e-12)
-
-
-def test_kde_default_grid_spans_samples_padded_by_four_bandwidths():
-    est = gaussian_kde([1.0, 3.0], bandwidth=0.5)
-    assert est.grid[0] == pytest.approx(1.0 - 2.0)
-    assert est.grid[-1] == pytest.approx(3.0 + 2.0)
-    assert len(est.grid) == 512
 
 
 def test_kde_integrates_to_one_on_default_grid():
     rng = np.random.default_rng(5)
-    est = gaussian_kde(rng.normal(size=500), bandwidth=0.35)
+    samples = rng.normal(size=500)
+    grid = _padded_grid(samples, 0.35)
+    values = gaussian_kde(samples, bandwidth=0.35, grid=grid)
     # 4-bandwidth padding leaves ~3e-5 of mass outside the grid.
-    assert np.trapezoid(est.values, est.grid) == pytest.approx(1.0, abs=1e-3)
+    assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_kde_estimates_smoothed_normal_density():
     # E[KDE] with bandwidth h on N(0,1) samples is exactly N(0, 1 + h^2).
     rng = np.random.default_rng(6)
     h = 0.3
-    est = gaussian_kde(rng.normal(size=100_000), bandwidth=h)
-    target = stats.norm.pdf(est.grid, scale=math.sqrt(1.0 + h * h))
-    assert np.max(np.abs(est.values - target)) < 0.01
-
-
-def test_kde_call_interpolates_grid_and_returns_scalar():
-    est = gaussian_kde([0.0], bandwidth=1.0, grid=np.linspace(-2, 2, 5))
-    assert isinstance(est(0.5), float)
-    assert est(0.0) == pytest.approx(stats.norm.pdf(0.0))
-    mid = est(0.5)
-    assert mid == pytest.approx(0.5 * (est.values[2] + est.values[3]))
+    samples = rng.normal(size=100_000)
+    grid = _padded_grid(samples, h)
+    values = gaussian_kde(samples, bandwidth=h, grid=grid)
+    target = stats.norm.pdf(grid, scale=math.sqrt(1.0 + h * h))
+    assert np.max(np.abs(values - target)) < 0.01
 
 
 @pytest.mark.parametrize(
@@ -92,7 +86,7 @@ def test_kde_call_interpolates_grid_and_returns_scalar():
 )
 def test_kde_validation(samples, bandwidth):
     with pytest.raises(ValueError):
-        gaussian_kde(samples, bandwidth)
+        gaussian_kde(samples, bandwidth, np.linspace(-1.0, 1.0, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_power_law_distances_recover_exponent(exponent, target):
 
 def test_estimate_accepts_analog_sets():
     r = _power_law_distances(50, 0.5)
-    aset = AnalogSet(np.zeros(1), r, np.arange(50))
+    aset = AnalogSet(r, np.arange(50))
     assert estimate_local_dimension(aset).dim == estimate_local_dimension(r).dim
 
 

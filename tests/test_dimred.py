@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from analogdist import dimred
 from analogdist.dimred import (
     EofBasis,
-    ReductionCriterion,
     criterion_scan,
     dmax_for_rank,
     dmax_from_threshold,
@@ -261,44 +260,60 @@ def decaying_catalog():
 
 
 def test_scan_on_decaying_spectrum(decaying_catalog):
-    crit = ReductionCriterion(epsilon=0.35, rank=25)
-    [rows] = criterion_scan(decaying_catalog, [crit], (1, 2, 4, 8, 12), n_targets=120, seed=0)
-    assert [r.n_eof for r in rows] == [1, 2, 4, 8, 12]
-    ratios = [r.ratio for r in rows]
+    [cols] = criterion_scan(decaying_catalog, 0.35, [25], (1, 2, 4, 8, 12), n_targets=120, seed=0)
+    assert list(cols) == ["n_eof", "mean_dim", "ratio", "passed", "dmax_theory"]
+    assert cols["n_eof"] == [1, 2, 4, 8, 12]
+    ratios = cols["ratio"]
     assert_allclose(
         ratios,
         [0.011978, 0.089731, 0.238306, 0.303190, 0.308024],
         atol=2e-4,
     )
-    assert all(r.passed for r in rows)
+    assert cols["passed"] == [True] * 5
     assert np.all(np.diff(ratios) > 0.0)
     # Resolved dimension grows with truncation and tops out near the spectrum's
     # effective dimensionality, well below the nominal 12.
-    assert rows[0].mean_dim == pytest.approx(1.0, abs=0.1)
-    assert rows[2].mean_dim == pytest.approx(4.2, abs=0.4)
-    assert rows[-1].mean_dim < 8.0
-    assert rows[0].dmax_theory == pytest.approx(
+    assert cols["mean_dim"][0] == pytest.approx(1.0, abs=0.1)
+    assert cols["mean_dim"][2] == pytest.approx(4.2, abs=0.4)
+    assert cols["mean_dim"][-1] < 8.0
+    assert cols["dmax_theory"] == pytest.approx(
         dmax_from_threshold(0.35, 0.55, 4000 // 24, 25), rel=1e-12
     )
 
 
 def test_scan_all_pass_when_tolerance_huge(decaying_catalog):
-    crit = ReductionCriterion(epsilon=1.0, rank=25)
-    [rows] = criterion_scan(decaying_catalog, [crit], (2, 12), n_targets=40, seed=3)
-    assert all(r.passed for r in rows)
-    assert rows[0].dmax_theory == math.inf
+    [cols] = criterion_scan(decaying_catalog, 1.0, [25], (2, 12), n_targets=40, seed=3)
+    assert all(cols["passed"])
+    assert cols["dmax_theory"] == math.inf
 
 
-def test_scan_validation(decaying_catalog):
-    crit = ReductionCriterion(epsilon=0.3)
+def _no_eof_fit(*args, **kwargs):
+    raise AssertionError("eof_fit ran before the request was validated")
+
+
+def test_scan_validation(decaying_catalog, monkeypatch):
+    monkeypatch.setattr(dimred, "eof_fit", _no_eof_fit)
     with pytest.raises(ValueError):
-        criterion_scan(decaying_catalog, [crit], ())
+        criterion_scan(decaying_catalog, 0.3, [25], ())
     with pytest.raises(ValueError):
-        criterion_scan(decaying_catalog, [crit], (0, 2))
+        criterion_scan(decaying_catalog, 0.3, [25], (0, 2))
     with pytest.raises(ValueError):
-        criterion_scan(decaying_catalog, [crit], (1, 13))
+        criterion_scan(decaying_catalog, 0.3, [25], (1, 13))
     with pytest.raises(ValueError):
-        criterion_scan(np.ones((30, 4)) * np.arange(30)[:, None], [crit], (1,), n_analogs=40)
+        criterion_scan(np.ones((30, 4)) * np.arange(30)[:, None], 0.3, [25], (1,), n_analogs=40)
+
+
+def test_reduction_criterion_validation(decaying_catalog, monkeypatch):
+    # The checks of the former ReductionCriterion run in criterion_scan, before the fit.
+    monkeypatch.setattr(dimred, "eof_fit", _no_eof_fit)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        criterion_scan(decaying_catalog, 0.0, [25], (1, 2))
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        criterion_scan(decaying_catalog, 0.3, [0], (1, 2))
+    with pytest.raises(ValueError, match="l_eff must be >= 2"):
+        criterion_scan(decaying_catalog, 0.3, [25], (1, 2), l_eff=1)
+    with pytest.raises(ValueError, match="rho_bar must be positive"):
+        criterion_scan(decaying_catalog, 0.3, [25], (1, 2), rho_bar=0.0)
 
 
 @pytest.mark.parametrize("width,counts", [(12, (2, 5, 12)), (26, (3, 21, 26))])
@@ -307,36 +322,24 @@ def test_scan_of_several_criteria_equals_scans_of_each(width, counts):
     # rank 100 makes the shared query 2.5 times as long as a lone rank-25 one.
     rng = np.random.default_rng(width)
     data = rng.normal(size=(1200, width)) * 0.8 ** np.arange(width)
-    criteria = [ReductionCriterion(epsilon=0.3, rank=r, l_eff=1200) for r in (1, 5, 25, 100)]
-    scans = criterion_scan(data, criteria, counts, n_targets=40, seed=2, rmsd_pairs=5000)
-    assert len(scans) == len(criteria)
-    for crit, rows in zip(criteria, scans):
-        [alone] = criterion_scan(data, [crit], counts, n_targets=40, seed=2, rmsd_pairs=5000)
-        assert rows == alone
+    ranks = (1, 5, 25, 100)
+    scans = criterion_scan(data, 0.3, ranks, counts, l_eff=1200, n_targets=40, seed=2,
+                           rmsd_pairs=5000)
+    assert len(scans) == len(ranks)
+    for rank, cols in zip(ranks, scans):
+        [alone] = criterion_scan(data, 0.3, [rank], counts, l_eff=1200, n_targets=40, seed=2,
+                                 rmsd_pairs=5000)
+        assert cols == alone
 
 
 def test_scan_rejects_bad_requests_before_fitting(decaying_catalog, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("eof_fit ran before the request was validated")
-
-    monkeypatch.setattr(dimred, "eof_fit", fail)
-    crit = ReductionCriterion(epsilon=0.3, rank=5)
-    with pytest.raises(ValueError, match="criteria must be non-empty"):
-        criterion_scan(decaying_catalog, [], (1, 2))
+    monkeypatch.setattr(dimred, "eof_fit", _no_eof_fit)
+    with pytest.raises(ValueError, match="ranks must be non-empty"):
+        criterion_scan(decaying_catalog, 0.3, [], (1, 2))
+    with pytest.raises(ValueError, match="ranks must be distinct"):
+        criterion_scan(decaying_catalog, 0.3, [5, 1, 5], (1, 2))
     with pytest.raises(ValueError, match="n_targets must be >= 1"):
-        criterion_scan(decaying_catalog, [crit], (1, 2), n_targets=0)
+        criterion_scan(decaying_catalog, 0.3, [5], (1, 2), n_targets=0)
     # 4000 rows default to L_eff = 4000 // 24 = 166.
-    too_far = ReductionCriterion(epsilon=0.3, rank=200)
     with pytest.raises(ValueError, match="rank 200 .*L_eff = 166"):
-        criterion_scan(decaying_catalog, [crit, too_far], (1, 2), n_analogs=10)
-
-
-def test_reduction_criterion_validation():
-    with pytest.raises(ValueError):
-        ReductionCriterion(epsilon=0.0)
-    with pytest.raises(ValueError):
-        ReductionCriterion(epsilon=0.3, rank=0)
-    with pytest.raises(ValueError):
-        ReductionCriterion(epsilon=0.3, l_eff=1)
-    with pytest.raises(ValueError):
-        ReductionCriterion(epsilon=0.3, rho_bar=0.0)
+        criterion_scan(decaying_catalog, 0.3, [5, 200], (1, 2), n_analogs=10)

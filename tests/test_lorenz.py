@@ -17,7 +17,7 @@ from analogdist.lorenz import L63Params, generate_trajectory
 
 def _step(s, dt=0.01, params=L63Params()) -> np.ndarray:
     """One RK4 step of size dt from s."""
-    return generate_trajectory(s, n_steps=2, burn_in=0, dt=dt, params=params).states[1]
+    return generate_trajectory(s, n_steps=2, burn_in=0, dt=dt, params=params)[1]
 
 
 def _derivative(s, params=L63Params()) -> np.ndarray:
@@ -30,7 +30,7 @@ def _derivative(s, params=L63Params()) -> np.ndarray:
 
 
 def _on_attractor_state() -> np.ndarray:
-    return generate_trajectory(n_steps=1, burn_in=2_000).states[0]
+    return generate_trajectory(n_steps=1, burn_in=2_000)[0]
 
 
 def test_derivative_at_origin_is_zero():
@@ -69,7 +69,7 @@ def test_local_truncation_error_is_fifth_order():
     dts = [0.02, 0.01, 0.005]
     errs = []
     for dt in dts:
-        ref = generate_trajectory(s, n_steps=33, burn_in=0, dt=dt / 32).states[-1]
+        ref = generate_trajectory(s, n_steps=33, burn_in=0, dt=dt / 32)[-1]
         errs.append(np.linalg.norm(_step(s, dt=dt) - ref))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert 4.6 < slope < 5.4
@@ -79,7 +79,7 @@ def test_global_error_is_fourth_order():
     s = _on_attractor_state()
 
     def integrate(dt, horizon=1.0):
-        return generate_trajectory(s, n_steps=round(horizon / dt) + 1, burn_in=0, dt=dt).states[-1]
+        return generate_trajectory(s, n_steps=round(horizon / dt) + 1, burn_in=0, dt=dt)[-1]
 
     ref = integrate(0.000625)
     errs = [np.linalg.norm(integrate(dt) - ref) for dt in (0.02, 0.01)]
@@ -88,10 +88,10 @@ def test_global_error_is_fourth_order():
 
 
 def test_trajectory_stays_in_attractor_box():
-    traj = generate_trajectory(n_steps=20_000, burn_in=10_000, seed=1)
-    assert np.all(np.abs(traj.states[:, 0]) < 30.0)
-    assert np.all(np.abs(traj.states[:, 1]) < 30.0)
-    assert np.all(np.abs(traj.states[:, 2]) < 60.0)
+    states = generate_trajectory(n_steps=20_000, burn_in=10_000, seed=1)
+    assert np.all(np.abs(states[:, 0]) < 30.0)
+    assert np.all(np.abs(states[:, 1]) < 30.0)
+    assert np.all(np.abs(states[:, 2]) < 60.0)
 
 
 def test_unstable_dt_raises_non_finite():
@@ -100,17 +100,16 @@ def test_unstable_dt_raises_non_finite():
 
 
 def test_sample_count_and_shape():
-    traj = generate_trajectory(n_steps=137, burn_in=50, stride=3)
-    assert traj.states.shape == (137, 3)
-    assert len(traj) == 137
-    assert traj.dt == 0.01 and traj.stride == 3
+    states = generate_trajectory(n_steps=137, burn_in=50, stride=3)
+    assert states.shape == (137, 3)
+    assert states.dtype == np.float64
 
 
 def test_sampling_matches_manual_stepping():
     # The fused loop must agree exactly with single steps taken one call at
     # a time: sample 0 after burn_in steps, each later sample after stride more.
     burn_in, stride, n = 7, 3, 5
-    traj = generate_trajectory(n_steps=n, burn_in=burn_in, stride=stride)
+    states = generate_trajectory(n_steps=n, burn_in=burn_in, stride=stride)
 
     s = np.array([1.0, 1.0, 1.0])
     for _ in range(burn_in):
@@ -120,15 +119,15 @@ def test_sampling_matches_manual_stepping():
         for _ in range(stride):
             s = _step(s)
         expected.append(s)
-    np.testing.assert_array_equal(traj.states, np.array(expected))
+    np.testing.assert_array_equal(states, np.array(expected))
 
 
 def test_seeding_controls_initial_jitter():
     a = generate_trajectory(n_steps=50, burn_in=100, seed=9)
     b = generate_trajectory(n_steps=50, burn_in=100, seed=9)
     c = generate_trajectory(n_steps=50, burn_in=100, seed=10)
-    np.testing.assert_array_equal(a.states, b.states)
-    assert not np.array_equal(a.states, c.states)
+    np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_seeded_rk4_runs_in_python_floats(monkeypatch):
@@ -154,13 +153,13 @@ def test_seeded_rk4_runs_in_python_floats(monkeypatch):
         params=L63Params(np.float64(10.0), np.float64(28.0), np.float64(8.0 / 3.0)),
     )
     assert len(calls) == 2 * (10 + 4 * 2)
-    np.testing.assert_array_equal(plain.states, numpy_typed.states)
+    np.testing.assert_array_equal(plain, numpy_typed)
 
 
 def test_unseeded_run_is_deterministic():
     a = generate_trajectory(n_steps=20, burn_in=30)
     b = generate_trajectory(n_steps=20, burn_in=30)
-    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize(

@@ -431,14 +431,6 @@ def test_invalid_backend_and_k():
 # ------------------------------------------------------------------ AnalogSet
 
 
-def test_analog_set_self_match_removal():
-    z = np.array([1.0, 2.0])
-    aset = AnalogSet(z, np.array([0.0, 0.5, 0.7]), np.array([3, 9, 4]))
-    trimmed = aset.without_self_match()
-    np.testing.assert_array_equal(trimmed.distances, [0.5, 0.7])
-    np.testing.assert_array_equal(trimmed.indices, [9, 4])
-
-
 def test_analog_set_requires_sorted_distances():
     with pytest.raises(ValueError):
-        AnalogSet(np.array([0.0]), np.array([0.5, 0.2]), np.array([0, 1]))
+        AnalogSet(np.array([0.5, 0.2]), np.array([0, 1]))
