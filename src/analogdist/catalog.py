@@ -115,8 +115,8 @@ def apply_exclusion(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Filter a candidate list (catalog indices plus distances) by a policy.
 
-    Returns the candidates at least min_target_gap from target_time, sorted
-    by ascending distance with ties broken by ascending index.
+    Returns the candidates at least min_target_gap from target_time, in the
+    order given; callers pass (distance, index)-ordered candidates.
     """
     indices = np.asarray(indices, dtype=np.int64)
     distances = np.asarray(distances, dtype=np.float64)
@@ -131,9 +131,7 @@ def apply_exclusion(
             raise ValueError("min_target_gap needs a target time")
         keep = np.abs(times[indices] - int(target_time)) >= gap
         indices, distances = indices[keep], distances[keep]
-
-    order = np.lexsort((indices, distances))
-    return indices[order], distances[order]
+    return indices, distances
 
 
 def _header_dict(c: Catalog) -> dict:

@@ -14,25 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistancesError
-from .neighbors import AnalogSet
 
 __all__ = [
-    "LocalDimEstimate",
     "PrefactorFit",
     "estimate_local_dimension",
     "fit_prefactor",
     "rescale_distances",
 ]
-
-
-@dataclass(frozen=True)
-class LocalDimEstimate:
-    """dim: estimated local dimension at resolution ``resolution`` (the
-    largest analog distance used); n_analogs: number of ranks consumed."""
-
-    dim: float
-    n_analogs: int
-    resolution: float
 
 
 @dataclass(frozen=True)
@@ -46,21 +34,17 @@ class PrefactorFit:
     residual: float
 
 
-def _distances(analogs: AnalogSet | np.ndarray) -> np.ndarray:
-    if isinstance(analogs, AnalogSet):
-        return analogs.distances
-    return np.asarray(analogs, dtype=np.float64)
-
-
-def estimate_local_dimension(analogs: AnalogSet | np.ndarray) -> LocalDimEstimate:
-    """Local dimension from sorted analog distances.
+def estimate_local_dimension(distances) -> float:
+    """Local dimension from sorted analog distances, at the resolution of
+    the largest one.
 
     Requires at least 3 strictly positive distances; a zero distance means
     the target itself, or a copy of it, sits in the catalog, and the target
-    must be excluded upstream (NeighborIndex.row_distances does so). Raises DegenerateDistancesError when the
-    distances are tied at the largest rank and carry no scaling information.
+    must be excluded upstream (NeighborIndex.row_distances does so). Raises
+    DegenerateDistancesError when the distances are tied at the largest rank
+    and carry no scaling information.
     """
-    r = _distances(analogs)
+    r = np.asarray(distances, dtype=np.float64)
     n = len(r)
     if n < 3:
         raise ValueError(f"need at least 3 analogs, got {n}")
@@ -72,17 +56,17 @@ def estimate_local_dimension(analogs: AnalogSet | np.ndarray) -> LocalDimEstimat
             "largest-rank distance is tied; no scale separation between analogs"
         )
     mean_log_ratio = float(np.mean(np.log(r_top / r[:-1])))
-    return LocalDimEstimate(dim=1.0 / mean_log_ratio, n_analogs=n, resolution=float(r_top))
+    return 1.0 / mean_log_ratio
 
 
-def fit_prefactor(analogs: AnalogSet | np.ndarray, dim: float, catalog_size: int) -> PrefactorFit:
+def fit_prefactor(distances, dim: float, catalog_size: int) -> PrefactorFit:
     """Least-squares prefactor of r_k ~ C * k**(1/dim) in log space.
 
     The slope 1/dim is held fixed, so the optimum is the mean of
     log(r_k) - (1/dim) log(k). catalog_size converts the prefactor into the
     density-free rescaling C * catalog_size**(1/dim).
     """
-    r = _distances(analogs)
+    r = np.asarray(distances, dtype=np.float64)
     if len(r) < 1:
         raise ValueError("need at least one analog")
     if np.any(r <= 0.0):
@@ -100,13 +84,13 @@ def fit_prefactor(analogs: AnalogSet | np.ndarray, dim: float, catalog_size: int
     return PrefactorFit(prefactor=prefactor, rescaling=rescaling, residual=residual)
 
 
-def rescale_distances(analogs: AnalogSet | np.ndarray, dim: float, prefactor: float) -> np.ndarray:
+def rescale_distances(distances, dim: float, prefactor: float) -> np.ndarray:
     """Centred, rank-normalized distances d*sqrt(k)*(r_k/(C k**(1/dim)) - 1).
 
     In the large-catalog limit these fluctuations approach a standard normal
     as the rank grows, making curves for different ranks comparable.
     """
-    r = _distances(analogs)
+    r = np.asarray(distances, dtype=np.float64)
     if not dim > 0.0 or not prefactor > 0.0:
         raise ValueError("dim and prefactor must be positive")
     k = np.arange(1, len(r) + 1, dtype=np.float64)

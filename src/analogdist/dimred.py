@@ -60,11 +60,9 @@ class EofBasis:
 
 
 def _as_matrix(data) -> np.ndarray:
-    if isinstance(data, Catalog):
-        return data.states
     out = np.asarray(data, dtype=np.float64)
     if out.ndim != 2:
-        raise ValueError("data must be a 2-d array or Catalog")
+        raise ValueError("data must be a 2-d array")
     return out
 
 
@@ -236,6 +234,10 @@ def criterion_scan(
         raise ValueError(f"ranks must be distinct, got {ranks}")
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
+    if n_analogs < 3:
+        raise ValueError(f"n_analogs must be >= 3, got {n_analogs}")
+    if rmsd_pairs < 1:
+        raise ValueError(f"rmsd_pairs must be >= 1, got {rmsd_pairs}")
     counts = sorted(set(int(n) for n in eof_counts))
     if not counts:
         raise ValueError("eof_counts must be non-empty")
@@ -261,7 +263,7 @@ def criterion_scan(
         reduced = project(basis, x, n)
         scale = rmsd(reduced, n_pairs=rmsd_pairs, seed=seed)
         dist = NeighborIndex(Catalog(reduced)).row_distances(targets, k_query)
-        mean_dim = float(np.mean([estimate_local_dimension(r[:n_analogs]).dim for r in dist]))
+        mean_dim = float(np.mean([estimate_local_dimension(r[:n_analogs]) for r in dist]))
         for k, cols in zip(ranks, scans):
             ratio = float(np.mean(dist[:, k - 1])) / scale
             cols["n_eof"].append(n)

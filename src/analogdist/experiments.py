@@ -88,7 +88,6 @@ _DENSITY_GRID = 512
 class ExperimentResult:
     """What a driver produced: artifact paths, the manifest, and a printable summary."""
 
-    command: str
     outputs: tuple[Path, ...]
     manifest_path: Path
     summary: tuple[str, ...]
@@ -245,7 +244,7 @@ def _driver(command: str, kind: str):
             parameters.update(*recorded)
             manifest = build_manifest(command, parameters, outputs, base_dir=manifest_path.parent)
             save_manifest(manifest, manifest_path)
-            return ExperimentResult(command, tuple(outputs), manifest_path, tuple(summary))
+            return ExperimentResult(tuple(outputs), manifest_path, tuple(summary))
 
         RUNNERS[command] = (run, kind)
         return run
@@ -378,7 +377,12 @@ def run_theory_curves(
             p = DistParams(rank=k, dim=d, catalog_size=catalog_size)
             pdf = np.asarray(distance_pdf(grid * to_r, p))
             finite = np.isfinite(pdf)
-            top = pdf[finite].max()
+            top = pdf[finite].max(initial=0.0)
+            if not top > 0.0:
+                raise ValueError(
+                    f"dimension must be small enough for a positive density on the grid, "
+                    f"got d={d:g} (k={k})"
+                )
             normed = np.where(finite, pdf / top, np.nan)
             curves[f"d={d:g} k={k}"] = {"d": d, "k": k, "x": grid, "density": normed}
             marker_cols["d"].append(d)
@@ -414,12 +418,12 @@ def run_fit_target(
         raise ValueError(f"target_index {target_index} outside catalog of length {len(cat)}")
 
     distances = NeighborIndex(cat).row_distances([target_index], n_analogs, exclusion_gap)[0]
-    est = estimate_local_dimension(distances)
-    fit = fit_prefactor(distances, est.dim, len(cat))
+    dim = estimate_local_dimension(distances)
+    fit = fit_prefactor(distances, dim, len(cat))
 
     ranks = np.arange(1, n_analogs + 1, dtype=np.float64)
-    curve = fit.prefactor * ranks ** (1.0 / est.dim)
-    band = curve / (est.dim * np.sqrt(ranks))
+    curve = fit.prefactor * ranks ** (1.0 / dim)
+    band = curve / (dim * np.sqrt(ranks))
     fit_cols = _long_form({
         "observed": {"k": ranks, "distance": distances},
         "fit": {"k": ranks, "distance": curve},
@@ -434,7 +438,7 @@ def run_fit_target(
             "target_index": [target_index],
             "n_analogs": [n_analogs],
             "catalog_size": [len(cat)],
-            "dim": [est.dim],
+            "dim": [dim],
             "prefactor": [fit.prefactor],
             "rescaling": [fit.rescaling],
             "residual": [fit.residual],
@@ -444,7 +448,7 @@ def run_fit_target(
                 dashed=("fit-std", "fit+std"), title=f"Analog distances at target {target_index}",
                 x_label="rank k", y_label="distance")
     summary = [
-        f"target {target_index}: dim={est.dim:.3f} prefactor={fit.prefactor:.4g} "
+        f"target {target_index}: dim={dim:.3f} prefactor={fit.prefactor:.4g} "
         f"rescaling={fit.rescaling:.4g} (residual {fit.residual:.3g})",
     ]
     return [fit_csv, summary_csv, svg], summary
@@ -519,7 +523,7 @@ def run_mc_distances(
         # One query per subsample: a scan costs less than building a k-d tree.
         index = NeighborIndex(sub, backend="exhaustive")
         distances = index.query(target, k_top, policy, target_time).distances
-        return estimate_local_dimension(distances).dim, distances
+        return estimate_local_dimension(distances), distances
 
     jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
@@ -541,10 +545,9 @@ def run_mc_distances(
         chunk = results[li * n_catalogs : (li + 1) * n_catalogs]
         dims = np.array([c[0] for c in chunk])
         dists = np.vstack([c[1] for c in chunk])
-        prefs = np.array(
-            [fit_prefactor(dists[i], dbar, size).prefactor for i in range(n_catalogs)]
-        )
-        rho = prefs * size ** (1.0 / dbar)
+        fits = [fit_prefactor(row, dbar, size) for row in dists]
+        prefs = np.array([f.prefactor for f in fits])
+        rho = np.array([f.rescaling for f in fits])
         label = f"L={size}"
         dims_by_label[label] = dims
         rho_by_label[label] = rho
@@ -659,11 +662,10 @@ def run_rescaled_density(
     prefs = np.empty(len(picks))
     u_rows = np.empty((len(picks), k_max))
     for j, r in enumerate(distances):
-        est = estimate_local_dimension(r)
-        fit = fit_prefactor(r, est.dim, len(cat))
-        dims[j] = est.dim
-        prefs[j] = fit.prefactor
-        u_rows[j] = rescale_distances(r, est.dim, fit.prefactor)[:k_max]
+        dim = estimate_local_dimension(r)
+        fit = fit_prefactor(r, dim, len(cat))
+        dims[j], prefs[j] = dim, fit.prefactor
+        u_rows[j] = rescale_distances(r, dim, fit.prefactor)[:k_max]
     dbar = float(dims.mean())
 
     targets_csv = write_csv(
@@ -851,7 +853,7 @@ def run_dim_stats(
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
     distances = NeighborIndex(cat).row_distances(picks, n_analogs, exclusion_gap)
-    dims = np.array([estimate_local_dimension(r).dim for r in distances])
+    dims = np.array([estimate_local_dimension(r) for r in distances])
     tvals = cat.times[picks]
 
     dims_csv = write_csv(
@@ -882,7 +884,11 @@ def run_dim_stats(
 
     hist_svg = _plot(out / "hist.svg", hist_cols, "bin_center", "density",
                      title="Local dimension histogram", x_label="dim")
-    daily_svg = _plot(out / "daily.svg", daily_cols, "day", ("mean_dim", "smoothed"),
+    daily_lines = _long_form({
+        "mean_dim": {"day": uniq_days, "dim": daily_mean},
+        "smoothed": {"day": uniq_days, "dim": smoothed},
+    })
+    daily_svg = _plot(out / "daily.svg", daily_lines, "day", "dim", group="series",
                       title="Daily mean local dimension", x_label="day", y_label="dim")
     weekly_svg = _plot(out / "weekly.svg", weekly_cols, "week", "spread",
                        title="Weekly 10-90 % dimension spread", x_label="week")

@@ -28,6 +28,8 @@ DEFAULT_INITIAL_STATE = (1.0, 1.0, 1.0)
 # States beyond this amplitude are treated as diverged; the attractor itself
 # stays within a box of roughly |x1|,|x2| < 30, 0 < x3 < 50.
 _FINITE_BOUND = 1.0e6
+# Standard deviation of the seeded perturbation of the initial state.
+_JITTER = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,15 +85,14 @@ def generate_trajectory(
     stride: int = 1,
     params: L63Params = L63Params(),
     seed: int | None = None,
-    jitter: float = 1e-3,
 ) -> np.ndarray:
     """Integrate from s0 and return the (n_steps, 3) samples taken every
     ``stride`` steps: row i is the state after ``burn_in + i*stride`` steps.
 
     The first ``burn_in`` steps are discarded so that samples start on the
     attractor. The ODE itself is deterministic; ``seed`` only controls an
-    optional Gaussian jitter of amplitude ``jitter`` applied to the initial
-    condition, which yields independent trajectories through chaotic
+    optional Gaussian jitter of standard deviation 1e-3 applied to the
+    initial condition, which yields independent trajectories through chaotic
     divergence during burn-in.
 
     Raises NonFiniteError as soon as any coordinate exceeds 1e6 in magnitude
@@ -112,7 +113,7 @@ def generate_trajectory(
     x1, x2, x3 = map(float, s0)
     if seed is not None:
         rng = np.random.default_rng(seed)
-        dx = rng.normal(0.0, jitter, size=3)
+        dx = rng.normal(0.0, _JITTER, size=3)
         x1 += float(dx[0])
         x2 += float(dx[1])
         x3 += float(dx[2])

@@ -29,6 +29,8 @@ PALETTE = (
     "#e377c2",
 )
 
+_WIDTH = 720
+_HEIGHT = 440
 _MARGIN_LEFT = 68.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
@@ -73,27 +75,19 @@ def _fmt_tick(value: float) -> str:
     return "0" if text in ("-0", "-0.0") else text
 
 
-def _collect_series(columns, x, y_cols, group):
-    if group is not None and len(y_cols) > 1:
-        raise ValueError("use either a group column or several y columns, not both")
-    names = (x, *y_cols) + (() if group is None else (group,))
+def _collect_series(columns, x, y, group):
+    names = (x, y) + (() if group is None else (group,))
     for name in names:
         if name not in columns:
             raise ValueError(f"column {name!r} not in CSV header")
     if len({len(columns[name]) for name in names}) > 1:
         raise ValueError("plotted columns must all have the same length")
     xs = _floats(columns[x])
-    ys = {y: _floats(columns[y]) for y in y_cols}
-    labels = [str(v) for v in _values(columns[group])] if group is not None else None
+    ys = _floats(columns[y])
+    labels = [str(v) for v in _values(columns[group])] if group is not None else [y] * len(xs)
     series: dict[str, list[tuple[float, float]]] = {}
-    for i, xv in enumerate(xs):
-        if not math.isfinite(xv):
-            continue
-        for y in y_cols:
-            yv = ys[y][i]
-            if not math.isfinite(yv):
-                continue
-            label = labels[i] if labels is not None else y
+    for xv, yv, label in zip(xs, ys, labels):
+        if math.isfinite(xv) and math.isfinite(yv):
             series.setdefault(label, []).append((xv, yv))
     if not series:
         raise ValueError("no finite data points to plot")
@@ -103,31 +97,27 @@ def _collect_series(columns, x, y_cols, group):
 def line_plot(
     columns: dict,
     x: str,
-    y: str | tuple[str, ...],
+    y: str,
     *,
     group: str | None = None,
     dashed: tuple[str, ...] = (),
     title: str = "",
     x_label: str | None = None,
     y_label: str | None = None,
-    width: int = 720,
-    height: int = 440,
     log_x: bool = False,
 ) -> str:
     """Render one SVG line plot from a table's {column: values} mapping.
 
     Each column is a list or 1-d array, all of one length, and the keys
-    are the table's CSV header. x and y name the coordinate columns; y may
-    be a tuple, in which case each column becomes its own line.
-    Alternatively group names a column whose distinct values become
-    separate lines (legend order follows first appearance). Series listed
-    in `dashed` are stroked with a dash pattern, which is how theory
-    overlays are distinguished from empirical curves.
+    are the table's CSV header. x and y name the coordinate columns; group
+    names a column whose distinct values become separate lines (legend
+    order follows first appearance), and without it the table is one line.
+    Series listed in `dashed` are stroked with a dash pattern, which is how
+    theory overlays are distinguished from empirical curves.
     Points whose x or y is NaN, None or infinite are dropped point-wise, so
     a missing "theory" value simply leaves a gap in that series.
     """
-    y_cols = (y,) if isinstance(y, str) else tuple(y)
-    series = _collect_series(columns, x, y_cols, group)
+    series = _collect_series(columns, x, y, group)
     if log_x:
         series = {
             label: [(math.log10(px), py) for px, py in pts if px > 0.0]
@@ -148,8 +138,8 @@ def line_plot(
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(v: float) -> float:
         return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -158,9 +148,9 @@ def line_plot(
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_LEFT:.2f}" y="{_MARGIN_TOP:.2f}" width="{plot_w:.2f}" '
         f'height="{plot_h:.2f}" fill="none" stroke="#333333"/>',
     ]
@@ -193,13 +183,13 @@ def line_plot(
 
     if title:
         out.append(
-            f'<text x="{width / 2:.2f}" y="20" text-anchor="middle" font-size="14">'
+            f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" font-size="14">'
             f"{escape(title)}</text>"
         )
     x_text = x_label if x_label is not None else x
-    y_text = y_label if y_label is not None else ", ".join(y_cols)
+    y_text = y_label if y_label is not None else y
     out.append(
-        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{height - 12:.2f}" '
+        f'<text x="{_MARGIN_LEFT + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" '
         f'text-anchor="middle">{escape(x_text)}</text>'
     )
     out.append(

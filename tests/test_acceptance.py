@@ -68,7 +68,7 @@ def test_01_attractor_dimension_mean_and_spread(l63_source):
     for j, row in enumerate(targets):
         # One extra neighbor absorbs a possible zero-distance self match.
         found = index.query(l63_source.states[row], 151).distances
-        dims[j] = estimate_local_dimension(found[found > 0.0][:150]).dim
+        dims[j] = estimate_local_dimension(found[found > 0.0][:150])
 
     mean, std = float(dims.mean()), float(dims.std(ddof=1))
     assert 1.90 <= mean <= 2.20, f"mean dimension {mean:.4f} outside [1.90, 2.20]"

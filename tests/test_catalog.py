@@ -285,12 +285,15 @@ def test_exclusion_output_is_sorted_subset(n, gap, seed):
     times = np.cumsum(rng.integers(1, 4, size=100)).astype(np.int64)
     idx = rng.choice(100, size=n, replace=False)
     dist = rng.uniform(0.1, 2.0, size=n)
+    # Callers pass candidates in (distance, index) order; the rule keeps it.
+    order = np.lexsort((idx, dist))
+    idx, dist = idx[order], dist[order]
     policy = ExclusionPolicy(min_target_gap=gap)
     out_idx, out_dist = apply_exclusion(idx, dist, int(times[50]), times, policy)
-    assert set(out_idx).issubset(set(idx))
+    keep = np.abs(times[idx] - times[50]) >= gap
+    np.testing.assert_array_equal(out_idx, idx[keep])
+    np.testing.assert_array_equal(out_dist, dist[keep])
     assert np.all(np.diff(out_dist) >= 0)
-    if gap > 0:
-        assert np.all(np.abs(times[out_idx] - times[50]) >= gap)
 
 
 # ---------------------------------------------------------------- CSV import

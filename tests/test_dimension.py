@@ -19,7 +19,6 @@ from analogdist.dimension import (
 )
 from analogdist.disttheory import sample_joint_distances
 from analogdist.errors import DegenerateDistancesError
-from analogdist.neighbors import AnalogSet
 
 
 def _power_law_distances(n, exponent):
@@ -35,17 +34,9 @@ def _oracle_dim(r):
 @pytest.mark.parametrize("exponent,target", [(0.5, 2.0), (1.0, 1.0), (0.25, 4.0)])
 def test_power_law_distances_recover_exponent(exponent, target):
     r = _power_law_distances(1000, exponent)
-    est = estimate_local_dimension(r)
-    assert est.dim == pytest.approx(_oracle_dim(r), rel=1e-12)
-    assert abs(est.dim - target) < 0.05
-    assert est.n_analogs == 1000
-    assert est.resolution == r[-1]
-
-
-def test_estimate_accepts_analog_sets():
-    r = _power_law_distances(50, 0.5)
-    aset = AnalogSet(r, np.arange(50))
-    assert estimate_local_dimension(aset).dim == estimate_local_dimension(r).dim
+    dim = estimate_local_dimension(r)
+    assert dim == pytest.approx(_oracle_dim(r), rel=1e-12)
+    assert abs(dim - target) < 0.05
 
 
 def test_estimate_requires_three_positive_distances():
@@ -64,11 +55,11 @@ def test_tied_largest_rank_is_degenerate():
 
 def test_estimate_is_scale_invariant():
     r = _power_law_distances(100, 0.4)
-    base = estimate_local_dimension(r).dim
+    base = estimate_local_dimension(r)
     # Power-of-two scalings are exact in binary floats.
     for factor in (0.5, 2.0, 4096.0):
-        assert estimate_local_dimension(factor * r).dim == base
-    assert estimate_local_dimension(3.7 * r).dim == pytest.approx(base, rel=1e-9)
+        assert estimate_local_dimension(factor * r) == base
+    assert estimate_local_dimension(3.7 * r) == pytest.approx(base, rel=1e-9)
 
 
 @settings(max_examples=30, deadline=None)
@@ -77,8 +68,8 @@ def test_estimate_scale_invariance_property(seed, n):
     rng = np.random.default_rng(seed)
     r = np.sort(rng.uniform(0.01, 1.0, size=n))
     r[-1] += 0.1  # guarantee scale separation at the top rank
-    base = estimate_local_dimension(r).dim
-    scaled = estimate_local_dimension(2.0 ** rng.integers(-20, 20) * r).dim
+    base = estimate_local_dimension(r)
+    scaled = estimate_local_dimension(2.0 ** rng.integers(-20, 20) * r)
     assert scaled == base
 
 
@@ -86,7 +77,7 @@ def test_estimator_matches_sampled_law():
     # Distances drawn from the joint rank law should average back to the
     # dimension that generated them.
     draws = sample_joint_distances(150, 2.4, 100_000, n_samples=400, seed=6)
-    dims = np.array([estimate_local_dimension(row).dim for row in draws])
+    dims = np.array([estimate_local_dimension(row) for row in draws])
     se = dims.std(ddof=1) / math.sqrt(len(dims))
     assert abs(dims.mean() - 2.4) < 4 * se + 0.02
 
@@ -158,7 +149,7 @@ def test_rescaling_round_trip_through_fit():
     # estimate -> fit -> rescale on self-consistent data lands near zero.
     k = np.arange(1, 151, dtype=np.float64)
     r = 0.05 * k ** (1.0 / 2.05)
-    est = estimate_local_dimension(r)
-    fit = fit_prefactor(r, est.dim, catalog_size=10**6)
-    u = rescale_distances(r, est.dim, fit.prefactor)
+    dim = estimate_local_dimension(r)
+    fit = fit_prefactor(r, dim, catalog_size=10**6)
+    u = rescale_distances(r, dim, fit.prefactor)
     assert np.abs(np.mean(u)) < 0.05

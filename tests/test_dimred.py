@@ -340,6 +340,11 @@ def test_scan_rejects_bad_requests_before_fitting(decaying_catalog, monkeypatch)
         criterion_scan(decaying_catalog, 0.3, [5, 1, 5], (1, 2))
     with pytest.raises(ValueError, match="n_targets must be >= 1"):
         criterion_scan(decaying_catalog, 0.3, [5], (1, 2), n_targets=0)
+    for n_analogs in (0, 1, 2):
+        with pytest.raises(ValueError, match=f"n_analogs must be >= 3, got {n_analogs}"):
+            criterion_scan(decaying_catalog, 0.3, [5], (1, 2), n_analogs=n_analogs)
+    with pytest.raises(ValueError, match="rmsd_pairs must be >= 1"):
+        criterion_scan(decaying_catalog, 0.3, [5], (1, 2), rmsd_pairs=0)
     # 4000 rows default to L_eff = 4000 // 24 = 166.
     with pytest.raises(ValueError, match="rank 200 .*L_eff = 166"):
         criterion_scan(decaying_catalog, 0.3, [5, 200], (1, 2), n_analogs=10)

@@ -74,7 +74,7 @@ def test_local_dimension_tracks_mode_count():
     index = NeighborIndex(cat)
     rng = np.random.default_rng(6)
     distances = index.row_distances(rng.choice(len(cat), size=50, replace=False), 40)
-    dims = [estimate_local_dimension(r).dim for r in distances]
+    dims = [estimate_local_dimension(r) for r in distances]
     assert 1.4 < float(np.mean(dims)) < 2.8
 
 
