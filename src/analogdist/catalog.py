@@ -1,9 +1,9 @@
 """Catalogs of states: containers, subsampling, temporal exclusion, and file IO.
 
-A catalog is an (L, D) matrix of float64 states with optional integer
-timestamps (hours or step counts). Files use the ``.anacat`` container:
-a single JSON header line followed by the row-major little-endian float64
-payload and, if present, little-endian int64 times.
+A catalog is an (L, D) matrix of float64 states with integer timestamps
+(hours or step counts), 0..L-1 unless given. Files use the ``.anacat``
+container: a single JSON header line followed by the row-major
+little-endian float64 payload and the little-endian int64 times.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "apply_exclusion",
     "save_catalog",
     "load_catalog",
-    "load_catalog_csv",
     "SCHEMA_VERSION",
 ]
 
@@ -38,7 +37,7 @@ class Catalog:
     """Immutable collection of candidate states.
 
     states: (L, D) float64, one state per row.
-    times:  optional (L,) int64, strictly increasing.
+    times:  (L,) int64, strictly increasing; 0..L-1 when not given.
     name, units: free-form labels carried through file round-trips.
     """
 
@@ -54,13 +53,15 @@ class Catalog:
         if states.shape[0] < 1 or states.shape[1] < 1:
             raise ValueError("catalog needs at least one row and one column")
         object.__setattr__(self, "states", states)
-        if self.times is not None:
+        if self.times is None:
+            times = np.arange(states.shape[0], dtype=np.int64)
+        else:
             times = np.ascontiguousarray(np.asarray(self.times, dtype=np.int64))
             if times.shape != (states.shape[0],):
                 raise ValueError("times must have one entry per state")
             if len(times) > 1 and not np.all(np.diff(times) > 0):
                 raise ValueError("times must be strictly increasing")
-            object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", times)
 
     @property
     def length(self) -> int:
@@ -102,8 +103,7 @@ def subsample_without_replacement(c: Catalog, n_rows: int, seed: int) -> Catalog
         )
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(c.length, size=n_rows, replace=False))
-    times = c.times[idx] if c.times is not None else None
-    return Catalog(states=c.states[idx], times=times, name=c.name, units=c.units)
+    return Catalog(states=c.states[idx], times=c.times[idx], name=c.name, units=c.units)
 
 
 def apply_exclusion(
@@ -140,7 +140,7 @@ def _header_dict(c: Catalog) -> dict:
         "L": c.length,
         "D": c.dim,
         "dtype": "f64",
-        "has_times": c.times is not None,
+        "has_times": True,
         "metadata": {"name": c.name, "units": c.units},
     }
 
@@ -151,15 +151,15 @@ def save_catalog(c: Catalog, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
         fh.write(np.ascontiguousarray(c.states, dtype="<f8").tobytes())
-        if c.times is not None:
-            fh.write(np.ascontiguousarray(c.times, dtype="<i8").tobytes())
+        fh.write(np.ascontiguousarray(c.times, dtype="<i8").tobytes())
 
 
 def load_catalog(path) -> Catalog:
     """Read a catalog container, validating the header and payload length.
 
     The payload is read straight into the state and time arrays, so peak
-    memory is about the payload size.
+    memory is about the payload size. A file written without times
+    (has_times false) loads with times 0..L-1.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -218,26 +218,3 @@ def load_catalog(path) -> Catalog:
     except ValueError as exc:
         raise FormatError(f"invalid payload: {exc}", offset) from None
 
-
-def load_catalog_csv(path, has_times: bool = False, name: str = "", units: str = "") -> Catalog:
-    """Import a plain CSV file, one state per row.
-
-    With has_times the first column is read as integer timestamps.
-    """
-    data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    if data.size == 0:
-        raise FormatError("empty CSV file", 0)
-    if has_times:
-        if data.shape[1] < 2:
-            raise FormatError("CSV with times needs at least two columns", 0)
-        times = data[:, 0]
-        # The bound also rejects NaN and infinity, and keeps the cast exact.
-        if not (np.all(np.abs(times) < 2.0**63) and np.all(times == np.round(times))):
-            raise FormatError("time column must hold integers", 0)
-        return Catalog(
-            states=data[:, 1:],
-            times=times.astype(np.int64),
-            name=name,
-            units=units,
-        )
-    return Catalog(states=data, times=None, name=name, units=units)

@@ -259,12 +259,6 @@ def _check_bandwidths(**bandwidths: float) -> None:
             raise ValueError(f"{name} must be a positive finite number, got {bw:g}")
 
 
-def _with_times(cat: Catalog) -> Catalog:
-    if cat.times is not None:
-        return cat
-    return Catalog(cat.states, np.arange(len(cat), dtype=np.int64), cat.name, cat.units)
-
-
 def _unit_params(rank: int, dim: float, catalog_size: int) -> DistParams:
     """Parameters whose law reduces to the catalog-size-free form.
 
@@ -294,7 +288,6 @@ def run_gen_l63(
     states = generate_trajectory(n_steps=n, dt=dt, burn_in=burn_in, stride=stride, seed=seed)
     cat = Catalog(
         states=states,
-        times=np.arange(len(states), dtype=np.int64),
         name="lorenz-63",
         units="model units",
     )
@@ -413,7 +406,9 @@ def run_fit_target(
     out: Path, catalog: str, target_index: int, n_analogs: int = 40, exclusion_gap: int = 0
 ) -> ExperimentResult:
     """Fit the power-law distance profile r_k ~ C k^(1/d) at one target."""
-    cat = _with_times(load_catalog(catalog))
+    if n_analogs < 3:
+        raise ValueError(f"n_analogs must be >= 3, got {n_analogs}")
+    cat = load_catalog(catalog)
     if not 0 <= target_index < len(cat):
         raise ValueError(f"target_index {target_index} outside catalog of length {len(cat)}")
 
@@ -502,17 +497,18 @@ def run_mc_distances(
     it out per catalog would deflate the sample variance.
     """
     _check_bandwidths(bw_dim=bw_dim, bw_rho=bw_rho, bw_rescaled=bw_rescaled)
-    source = _with_times(load_catalog(catalog_source))
     if n_catalogs < 2:
         raise ValueError("n_catalogs must be >= 2")
-    if not 0 <= target_index < len(source):
-        raise ValueError(f"target_index {target_index} outside source of length {len(source)}")
+    if n_analogs_dim < 3:
+        raise ValueError(f"n_analogs_dim must be >= 3, got {n_analogs_dim}")
     if k_markers and (k_markers[0] < 1 or k_markers[-1] > n_analogs_dim):
         raise ValueError("k_markers must lie within 1..n_analogs_dim")
+    source = load_catalog(catalog_source)
+    if not 0 <= target_index < len(source):
+        raise ValueError(f"target_index {target_index} outside source of length {len(source)}")
 
     target = source.states[target_index]
     target_time = int(source.times[target_index])
-    k_top = n_analogs_dim
     # A gap of one drops the target's own row where a subsample holds it; a
     # copy of the target at another time stays in and fails the fit.
     policy = ExclusionPolicy(min_target_gap=1)
@@ -522,7 +518,7 @@ def run_mc_distances(
         sub = subsample_without_replacement(source, size, seed=seed + li * n_catalogs + i)
         # One query per subsample: a scan costs less than building a k-d tree.
         index = NeighborIndex(sub, backend="exhaustive")
-        distances = index.query(target, k_top, policy, target_time).distances
+        distances = index.query(target, n_analogs_dim, policy, target_time).distances
         return estimate_local_dimension(distances), distances
 
     jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
@@ -537,8 +533,8 @@ def run_mc_distances(
     cat_cols = {"L": [], "catalog": [], "dim": [], "prefactor": [], "rho": []}
     dims_by_label, rho_by_label = {}, {}
     rescaled: dict[int, dict[str, np.ndarray]] = {k: {} for k in k_markers}
-    dbar_by_label = {}
     ks_cols = {"L": [], "k": [], "stat": [], "p_value": []}
+    p_bits: dict[int, list[str]] = {k: [] for k in k_markers}
     summary = []
 
     for li, size in enumerate(l_list):
@@ -551,7 +547,6 @@ def run_mc_distances(
         label = f"L={size}"
         dims_by_label[label] = dims
         rho_by_label[label] = rho
-        dbar_by_label[label] = (size, dbar)
         cat_cols["L"].extend([size] * n_catalogs)
         cat_cols["catalog"].extend(range(n_catalogs))
         cat_cols["dim"].extend(dims.tolist())
@@ -567,6 +562,7 @@ def run_mc_distances(
             ks_cols["k"].append(k)
             ks_cols["stat"].append(stat)
             ks_cols["p_value"].append(p)
+            p_bits[k].append(f"{label}: {p:.3f}")
         summary.append(
             f"L={size}: dim mean {dims.mean():.3f} std {dims.std(ddof=1):.3f}, "
             f"rho mean {rho.mean():.3f} std {rho.std(ddof=1):.3f}"
@@ -602,10 +598,10 @@ def run_mc_distances(
         _plot(out / "rho.svg", rho_cols, "x", "density", group="series",
               title="Density rescaling rho across random catalogs", x_label="rho"),
     ]
+    size_by_label = {f"L={size}": size for size in l_list}
     for k in k_markers:
         def theory(label, grid, k=k):
-            size, dbar = dbar_by_label[label]
-            return distance_pdf(grid, _unit_params(k, dbar, size))
+            return distance_pdf(grid, _unit_params(k, dbar, size_by_label[label]))
 
         k_cols = _kde_columns(rescaled[k], bw_rescaled, theory=theory)
         outputs += [
@@ -614,12 +610,7 @@ def run_mc_distances(
                   dashed=tuple(f"L={size} theory" for size in l_list),
                   title=f"Rescaled distance r_{k} / C vs unit-catalog law", x_label="r / C"),
         ]
-        p_bits = ", ".join(
-            f"L={ks_cols['L'][i]}: {ks_cols['p_value'][i]:.3f}"
-            for i in range(len(ks_cols["k"]))
-            if ks_cols["k"][i] == k
-        )
-        summary.append(f"KS p-values at k={k}: {p_bits}")
+        summary.append(f"KS p-values at k={k}: {', '.join(p_bits[k])}")
 
     return outputs, summary
 
@@ -653,7 +644,7 @@ def run_rescaled_density(
         raise ValueError("n_analogs_dim must be >= max(3, k_max)")
     if n_targets < 2:
         raise ValueError("n_targets must be >= 2")
-    cat = _with_times(load_catalog(catalog))
+    cat = load_catalog(catalog)
 
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(len(cat), size=min(n_targets, len(cat)), replace=False))
@@ -770,7 +761,7 @@ def run_cluster(
     seed: int = 0,
 ) -> ExperimentResult:
     """EOF-reduce a catalog, select a mixture size by BIC, assign clusters."""
-    cat = _with_times(load_catalog(catalog))
+    cat = load_catalog(catalog)
     basis = eof_fit(cat.states, n_eof)
     features = project(basis, cat.states)
     if standardize:
@@ -843,13 +834,15 @@ def run_dim_stats(
     """
     if n_targets < 1:
         raise ValueError("n_targets must be >= 1")
+    if n_analogs < 3:
+        raise ValueError(f"n_analogs must be >= 3, got {n_analogs}")
     if steps_per_day < 1:
         raise ValueError("steps_per_day must be >= 1")
     if not (math.isfinite(smooth_window_days) and smooth_window_days > 0.0):
         raise ValueError(f"smooth_window_days must be finite and > 0, got {smooth_window_days:g}")
     if hist_bins < 1:
         raise ValueError(f"hist_bins must be >= 1, got {hist_bins}")
-    cat = _with_times(load_catalog(catalog))
+    cat = load_catalog(catalog)
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
     distances = NeighborIndex(cat).row_distances(picks, n_analogs, exclusion_gap)

@@ -209,22 +209,18 @@ class NeighborIndex:
 
     def row_distances(self, rows, n_analogs: int, gap: int = 0) -> np.ndarray:
         """(len(rows), n_analogs) distances from each catalog row to its
-        nearest admissible rows, never counting the row itself. A positive gap
-        applies temporal exclusion, which drops the row (time offset zero);
-        otherwise the row is dropped by index, so an exact duplicate counts."""
+        nearest rows at least gap away in time. Gap 0 acts as gap 1: the
+        row's own time is always dropped, so the row never counts and an
+        exact duplicate at another time does."""
         if n_analogs < 1:
             raise ValueError("n_analogs must be >= 1")
-        if gap > 0 and self.catalog.times is None:
-            raise ValueError("temporal exclusion needs catalog times")
-        policy = ExclusionPolicy(min_target_gap=gap)
+        if gap < 0:
+            raise ValueError("gap must be >= 0")
+        policy = ExclusionPolicy(min_target_gap=max(gap, 1))
         out = np.empty((len(rows), n_analogs))
         for j, row in enumerate(rows):
-            z = self.catalog.states[row]
-            if gap > 0:
-                out[j] = self.query(z, n_analogs, policy, target_time=int(self.catalog.times[row])).distances
-            else:
-                found = self.query(z, n_analogs + 1)
-                out[j] = found.distances[found.indices != row][:n_analogs]
+            z, t = self.catalog.states[row], int(self.catalog.times[row])
+            out[j] = self.query(z, n_analogs, policy, target_time=t).distances
         return out
 
     def query_radius(

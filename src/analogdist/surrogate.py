@@ -91,7 +91,6 @@ def traveling_modes_surrogate(
 
     return Catalog(
         states=states,
-        times=np.arange(n_samples, dtype=np.int64),
         name=f"traveling-modes m={n_modes}",
         units="arbitrary",
     )

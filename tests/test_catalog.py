@@ -14,7 +14,6 @@ from analogdist.catalog import (
     ExclusionPolicy,
     apply_exclusion,
     load_catalog,
-    load_catalog_csv,
     save_catalog,
     subsample_without_replacement,
 )
@@ -36,7 +35,8 @@ def test_catalog_coerces_and_validates():
     assert c.states.dtype == np.float64
     assert (c.length, c.dim) == (2, 2)
     assert len(c) == 2
-    assert c.times is None
+    np.testing.assert_array_equal(c.times, [0, 1])
+    assert c.times.dtype == np.int64
 
 
 @pytest.mark.parametrize(
@@ -69,10 +69,19 @@ def test_roundtrip_preserves_everything(tmp_path):
 
 
 def test_roundtrip_without_times(tmp_path):
-    c = Catalog(np.random.default_rng(0).normal(size=(5, 2)))
+    # A file written without times loads with times 0..L-1 and is written
+    # back with them.
+    states = np.random.default_rng(0).normal(size=(5, 2))
+    header = {"schema_version": 1, "L": 5, "D": 2, "dtype": "f64", "has_times": False}
     path = tmp_path / "c.anacat"
-    save_catalog(c, path)
-    assert load_catalog(path).times is None
+    path.write_bytes(json.dumps(header).encode() + b"\n" + states.astype("<f8").tobytes())
+    c = load_catalog(path)
+    np.testing.assert_array_equal(c.states, states)
+    np.testing.assert_array_equal(c.times, np.arange(5))
+    again = tmp_path / "again.anacat"
+    save_catalog(c, again)
+    assert json.loads(again.read_bytes().split(b"\n", 1)[0])["has_times"] is True
+    np.testing.assert_array_equal(load_catalog(again).times, np.arange(5))
 
 
 def test_save_is_deterministic(tmp_path):
@@ -294,33 +303,3 @@ def test_exclusion_output_is_sorted_subset(n, gap, seed):
     np.testing.assert_array_equal(out_idx, idx[keep])
     np.testing.assert_array_equal(out_dist, dist[keep])
     assert np.all(np.diff(out_dist) >= 0)
-
-
-# ---------------------------------------------------------------- CSV import
-
-
-def test_csv_import_plain(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("1.5,2.0\n3.0,4.5\n")
-    c = load_catalog_csv(path)
-    np.testing.assert_array_equal(c.states, [[1.5, 2.0], [3.0, 4.5]])
-    assert c.times is None
-
-
-def test_csv_import_with_time_column(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("0,1.0,2.0\n6,3.0,4.0\n")
-    c = load_catalog_csv(path, has_times=True, name="obs")
-    np.testing.assert_array_equal(c.times, [0, 6])
-    np.testing.assert_array_equal(c.states, [[1.0, 2.0], [3.0, 4.0]])
-    assert c.name == "obs"
-
-
-def test_csv_import_rejects_fractional_times(tmp_path):
-    path = tmp_path / "c.csv"
-    # Near-integers must not be truncated into a valid catalog, and values
-    # outside int64 must not wrap.
-    for first in ("0.5", "2.9999999999", "1000000.5", "inf", "nan", "1e19"):
-        path.write_text(f"{first},1.0\n1e7,2.0\n")
-        with pytest.raises(FormatError, match="integers"):
-            load_catalog_csv(path, has_times=True)

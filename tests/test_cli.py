@@ -261,13 +261,18 @@ class TestExitCodes:
               "--smooth-window-days", "inf"], "smooth_window_days"),
             (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
               "--hist-bins", "0"], "hist_bins"),
+            (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "2"], "n_analogs"),
+            (["fit-target", "--catalog", "CAT", "--target-index", "10", "--K", "2"], "n_analogs"),
+            (["mc-distances", "--catalog-source", "CAT", "--L-list", "200", "--n-catalogs", "4",
+              "--K-dim", "2", "--k-markers", "1,2"], "n_analogs_dim"),
             (["theory-curves", "--d-list", "2,inf"], "dimension"),
             # Finite, but every density value on the grid underflows to zero.
             (["theory-curves", "--d-list", "1e300", "--k-list", "1", "--grid-points", "8"],
              "dimension"),
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
-             "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "d-list-inf",
+             "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "dim-stats-K-2",
+             "fit-target-K-2", "mc-distances-K-dim-2", "d-list-inf",
              "d-list-huge"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,

@@ -316,15 +316,15 @@ def test_policy_query_takes_one_exclusion_round(backend, monkeypatch):
 
 def _catalog_with_duplicate():
     # Row 30 repeats row 7, far apart in time: for row 7 the nearest other
-    # row sits at distance zero, so dropping the row by index keeps it where
-    # dropping zero distances would not.
+    # row sits at distance zero, so dropping the row's own time keeps it
+    # where dropping zero distances would not.
     rng = np.random.default_rng(23)
     states = np.cumsum(rng.normal(size=(300, 3)), axis=0)
     states[30] = states[7]
     return Catalog(states, np.arange(0, 600, 2, dtype=np.int64))
 
 
-@pytest.mark.parametrize("gap", [0, 5])
+@pytest.mark.parametrize("gap", [0, 1, 5])
 @pytest.mark.parametrize("backend", ["kdtree", "exhaustive"])
 def test_row_distances_equal_stacked_queries(backend, gap):
     cat = _catalog_with_duplicate()
@@ -347,18 +347,28 @@ def test_row_distances_equal_stacked_queries(backend, gap):
     # Rows 7 and 30 each count the other at distance zero.
     assert got[0, 0] == got[1, 0] == 0.0
     assert (got[2:] > 0.0).all()
+    if gap == 1:
+        # Dropping the row's own time drops exactly the row and keeps its
+        # duplicate at another time, so gap 0 acts as gap 1, bitwise.
+        np.testing.assert_array_equal(got, index.row_distances(rows, k, 0))
 
 
 def test_row_distances_validation():
-    index = NeighborIndex(Catalog(np.arange(20.0).reshape(10, 2)))
+    states = np.arange(20.0).reshape(10, 2)
+    index = NeighborIndex(Catalog(states))
     with pytest.raises(ValueError, match="n_analogs"):
         index.row_distances([0], 0)
-    with pytest.raises(ValueError, match="times"):
-        index.row_distances([0], 3, gap=2)
+    # A catalog built without times is numbered 0..L-1.
+    numbered = NeighborIndex(Catalog(states, np.arange(10)))
+    np.testing.assert_array_equal(
+        index.row_distances([0, 4, 9], 3, gap=2), numbered.row_distances([0, 4, 9], 3, gap=2)
+    )
     with pytest.raises(ValueError):
         index.row_distances([0], 3, gap=-1)
-    with pytest.raises(NotEnoughAnalogsError):
+    # Every row but the target's own is admissible.
+    with pytest.raises(NotEnoughAnalogsError) as err:
         index.row_distances([0], 10)
+    assert (err.value.requested, err.value.admissible) == (10, 9)
     assert index.row_distances([], 3).shape == (0, 3)
 
 
