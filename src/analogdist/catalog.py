@@ -110,7 +110,7 @@ def apply_exclusion(
     indices: np.ndarray,
     distances: np.ndarray,
     target_time: int | None,
-    times: np.ndarray | None,
+    times: np.ndarray,
     policy: ExclusionPolicy,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Filter a candidate list (catalog indices plus distances) by a policy.
@@ -125,8 +125,6 @@ def apply_exclusion(
 
     gap = policy.min_target_gap
     if gap > 0:
-        if times is None:
-            raise ValueError("exclusion policy needs catalog times")
         if target_time is None:
             raise ValueError("min_target_gap needs a target time")
         keep = np.abs(times[indices] - int(target_time)) >= gap

@@ -408,6 +408,8 @@ def run_fit_target(
     """Fit the power-law distance profile r_k ~ C k^(1/d) at one target."""
     if n_analogs < 3:
         raise ValueError(f"n_analogs must be >= 3, got {n_analogs}")
+    if exclusion_gap < 0:
+        raise ValueError(f"exclusion_gap must be >= 0, got {exclusion_gap}")
     cat = load_catalog(catalog)
     if not 0 <= target_index < len(cat):
         raise ValueError(f"target_index {target_index} outside catalog of length {len(cat)}")
@@ -644,6 +646,8 @@ def run_rescaled_density(
         raise ValueError("n_analogs_dim must be >= max(3, k_max)")
     if n_targets < 2:
         raise ValueError("n_targets must be >= 2")
+    if exclusion_gap < 0:
+        raise ValueError(f"exclusion_gap must be >= 0, got {exclusion_gap}")
     cat = load_catalog(catalog)
 
     rng = np.random.default_rng(seed)
@@ -842,6 +846,8 @@ def run_dim_stats(
         raise ValueError(f"smooth_window_days must be finite and > 0, got {smooth_window_days:g}")
     if hist_bins < 1:
         raise ValueError(f"hist_bins must be >= 1, got {hist_bins}")
+    if exclusion_gap < 0:
+        raise ValueError(f"exclusion_gap must be >= 0, got {exclusion_gap}")
     cat = load_catalog(catalog)
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))

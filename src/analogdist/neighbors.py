@@ -5,16 +5,18 @@ and a k-d tree for low-dimensional states. Distances are plain Euclidean,
 each computed as sqrt(sum((x - z)**2)); ties are broken by ascending
 catalog index.
 
-Both backends preselect candidates cheaply and then recompute the exact
-distances of the survivors, so the two agree bitwise with each other and
-with a full scan. The exhaustive scan preselects from the norm form
+The backends only nominate candidates; one exact tail then computes the
+candidates' distances, cuts at the m-th with its ties and orders by
+(distance, index), so the two agree bitwise with each other and with a
+full scan. The exhaustive scan nominates from the norm form
 |x|^2 + |z|^2 - 2 x.z (one matrix-vector product per query against cached
-row norms), widened by a bound on its rounding error: a row is kept unless
-its lower bound exceeds the m-th smallest upper bound, the exact-kNN
+row norms), widened by a bound on its rounding error: a row is nominated
+unless its lower bound exceeds the m-th smallest upper bound, the exact-kNN
 scheme of Johnson, Douze & Jegou (arXiv:1702.08734). Where that bound is
-not finite it scans every row exactly. The k-d tree asks for one neighbour
-more than needed and re-queries by radius only when that extra neighbour
-may tie with the cut.
+not finite it nominates every row. The k-d tree asks for one neighbour
+more than needed and nominates its first m, or the ball just beyond its
+m-th distance when that extra neighbour may tie with the cut. Radius
+queries scan every row exactly on either backend.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ class NeighborIndex:
         diff = self.catalog.states[idx] - z
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def _preselect(self, z: np.ndarray, m: int) -> np.ndarray | None:
-        """Rows that may lie among the m nearest (m < L), or None when the
-        norm-form bounds are not finite.
+    def _preselect(self, z: np.ndarray, m: int) -> np.ndarray:
+        """Rows that may lie among the m nearest: every row when m >= L or
+        the norm-form bounds are not finite.
 
         With h = max |x|^2 + |z|^2, the norm form |x|^2 + |z|^2 - 2 x.z and
         the exact square sum((x - z)**2) of any row, both as computed, differ
@@ -135,46 +137,35 @@ class NeighborIndex:
         zz = float(np.einsum("i,i->", z, z))
         h = self._max_sqnorm + zz
         # |norm form| <= 2h, so nothing below overflows when 4h is finite.
-        if not math.isfinite(4.0 * h):
-            return None
+        if m >= self.catalog.length or not math.isfinite(4.0 * h):
+            return np.arange(self.catalog.length)
         margin = 4.0 * (self.catalog.dim + 4) * (_EPS * h + _SUBNORMAL)
         form = self._sqnorms - 2.0 * (self.catalog.states @ z) + zz
         limit = (np.partition(form, m - 1)[m - 1] + 2.0 * margin) * (1.0 + 8.0 * _EPS)
         return np.flatnonzero(form <= limit)
 
     def _candidates_prefix(self, z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of (at least) the m nearest rows, globally
-        ordered by (distance, index)."""
+        """Indices and distances of the m nearest rows and their ties at the
+        m-th distance, ordered by (distance, index)."""
         L = self.catalog.length
         m = min(m, L)
         if self._tree is None:
-            sel = self._preselect(z, m) if m < L else None
-            if sel is None:
-                sel, dist = np.arange(L), self._exact_distances(z)
+            sel = self._preselect(z, m)
+        else:
+            # One neighbour more than needed shows whether a row outside the
+            # tree's m can tie with the cut. The tree's m-th distance lies a
+            # few ulps from the exact one, far inside the ball's widening.
+            tree_dist, idx = self._tree.query(z, k=min(m + 1, L))
+            tree_dist = np.atleast_1d(tree_dist)
+            radius = tree_dist[m - 1] * (1.0 + 1e-12) + 1e-300
+            if m < L and tree_dist[m] <= radius:
+                sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
             else:
-                dist = self._exact_distances(z, sel)
-            if len(sel) > m:
-                part = np.argpartition(dist, m - 1)[:m]
-                # Extend across ties at the cutoff so index order stays exact.
-                keep = dist <= dist[part].max()
-                sel, dist = sel[keep], dist[keep]
-            order = np.lexsort((sel, dist))
-            return sel[order], dist[order]
-
-        # One neighbour more than needed shows whether a row outside the
-        # tree's m can tie with the cut.
-        tree_dist, idx = self._tree.query(z, k=min(m + 1, L))
-        tree_dist = np.atleast_1d(tree_dist)
-        sel = np.atleast_1d(np.asarray(idx, dtype=np.int64))[:m]
+                sel = np.atleast_1d(np.asarray(idx, dtype=np.int64))[:m]
         dist = self._exact_distances(z, sel)
-        cut = dist.max()
-        radius = cut * (1.0 + 1e-12) + 1e-300
-        if m < L and tree_dist[m] <= radius:
-            # Re-query by radius so boundary ties missing from the tree
-            # result are included; the ball is a superset of the true prefix.
-            sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
-            dist = self._exact_distances(z, sel)
-            keep = dist <= cut
+        if len(sel) > m:
+            # Extend across ties at the cut so index order stays exact.
+            keep = dist <= np.partition(dist, m - 1)[m - 1]
             sel, dist = sel[keep], dist[keep]
         order = np.lexsort((sel, dist))
         return sel[order], dist[order]
@@ -230,22 +221,18 @@ class NeighborIndex:
         policy: ExclusionPolicy | None = None,
         target_time: int | None = None,
     ) -> AnalogSet:
-        """All admissible rows with distance strictly below radius."""
+        """All admissible rows with distance strictly below radius.
+
+        Either backend scans every row exactly, so the two agree at the
+        boundary as everywhere else."""
         z = self._check_target(target)
         if not radius > 0.0:
             raise ValueError("radius must be positive")
-
-        if self._tree is not None and np.isfinite(radius):
-            sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
-            dist = self._exact_distances(z, sel)
-        else:
-            dist = self._exact_distances(z)
-            sel = np.arange(self.catalog.length)
-        keep = dist < radius
-        sel, dist = sel[keep], dist[keep]
+        dist = self._exact_distances(z)
+        sel = np.flatnonzero(dist < radius)
+        dist = dist[sel]
         order = np.lexsort((sel, dist))
         sel, dist = sel[order], dist[order]
-
         if policy is not None:
             sel, dist = apply_exclusion(sel, dist, target_time, self.catalog.times, policy)
         return AnalogSet(dist, sel)

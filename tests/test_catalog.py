@@ -273,8 +273,6 @@ def test_exclusion_empty_input_passes_through():
 
 def test_exclusion_requires_times_when_needed():
     with pytest.raises(ValueError):
-        apply_exclusion(np.array([0]), np.array([1.0]), 5, None, ExclusionPolicy())
-    with pytest.raises(ValueError):
         apply_exclusion(np.array([0]), np.array([1.0]), None, np.array([3]), ExclusionPolicy())
 
 

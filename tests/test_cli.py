@@ -265,6 +265,12 @@ class TestExitCodes:
             (["fit-target", "--catalog", "CAT", "--target-index", "10", "--K", "2"], "n_analogs"),
             (["mc-distances", "--catalog-source", "CAT", "--L-list", "200", "--n-catalogs", "4",
               "--K-dim", "2", "--k-markers", "1,2"], "n_analogs_dim"),
+            (["fit-target", "--catalog", "CAT", "--target-index", "10", "--exclusion-gap", "-1"],
+             "exclusion_gap"),
+            (["dim-stats", "--catalog", "CAT", "--n-targets", "30", "--K", "10",
+              "--exclusion-gap", "-1"], "exclusion_gap"),
+            (["rescaled-density", "--catalog", "CAT", "--n-targets", "20", "--K-dim", "20",
+              "--exclusion-gap", "-1"], "exclusion_gap"),
             (["theory-curves", "--d-list", "2,inf"], "dimension"),
             # Finite, but every density value on the grid underflows to zero.
             (["theory-curves", "--d-list", "1e300", "--k-list", "1", "--grid-points", "8"],
@@ -272,7 +278,8 @@ class TestExitCodes:
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
              "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "dim-stats-K-2",
-             "fit-target-K-2", "mc-distances-K-dim-2", "d-list-inf",
+             "fit-target-K-2", "mc-distances-K-dim-2", "fit-target-gap-negative",
+             "dim-stats-gap-negative", "rescaled-density-gap-negative", "d-list-inf",
              "d-list-huge"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
@@ -282,6 +289,29 @@ class TestExitCodes:
         argv = [str(tiny_catalog) if a == "CAT" else a for a in argv]
         assert main([*argv, "--out", str(out)]) == 2
         assert f"{parameter} must be" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-target", "--target-index", "10"],
+            ["dim-stats", "--n-targets", "30", "--K", "10"],
+            ["rescaled-density", "--n-targets", "20", "--K-dim", "20"],
+        ],
+        ids=["fit-target", "dim-stats", "rescaled-density"],
+    )
+    def test_negative_exclusion_gap_exits_2_before_reading_the_catalog(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"read the catalog {path}")
+
+        monkeypatch.setattr(experiments, "load_catalog", unread)
+        out = tmp_path / "out"
+        code = main([*argv, "--catalog", "absent.anacat", "--exclusion-gap", "-1",
+                     "--out", str(out)])
+        assert code == 2
+        assert "exclusion_gap must be >= 0, got -1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

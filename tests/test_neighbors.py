@@ -238,6 +238,32 @@ def test_radius_query_matches_linear_scan(backend):
     assert np.all(np.diff(found.distances) >= 0)
 
 
+@pytest.mark.parametrize("seed", [0, 12, 72, 134, 299])
+def test_radius_query_backends_agree_at_the_boundary(seed):
+    # The radius is a row's exact distance and 1 and 2 ulps above it. Seeds
+    # 12, 72, 134 and 299 each hold a row one ulp below such a radius, which
+    # a k-d tree ball query, filtering by the tree's own rounding, drops.
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 8))
+    scale = 10.0 ** rng.uniform(-3, 3)
+    states = scale * rng.standard_normal((400, d))
+    cat = Catalog(states)
+    tree = NeighborIndex(cat, backend="kdtree")
+    scan = NeighborIndex(cat, backend="exhaustive")
+    z = scale * rng.standard_normal(d)
+    exact, order = _full_scan(states, z, 400)
+    for row in rng.choice(400, 20, replace=False):
+        radius = exact[np.flatnonzero(order == row)[0]]
+        for _ in range(3):
+            a, b = tree.query_radius(z, radius), scan.query_radius(z, radius)
+            inside = exact < radius
+            np.testing.assert_array_equal(a.indices, b.indices)
+            np.testing.assert_array_equal(a.distances, b.distances)
+            np.testing.assert_array_equal(b.indices, order[inside])
+            np.testing.assert_array_equal(b.distances, exact[inside])
+            radius = np.nextafter(radius, np.inf)
+
+
 def test_radius_query_rejects_nonpositive_radius():
     c = Catalog(np.zeros((3, 2)))
     with pytest.raises(ValueError):
