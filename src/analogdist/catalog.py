@@ -1,4 +1,4 @@
-"""Catalogs of states: containers, subsampling, temporal exclusion, and file IO.
+"""Catalogs of states: containers, temporal exclusion, and file IO.
 
 A catalog is an (L, D) matrix of float64 states with integer timestamps
 (hours or step counts), 0..L-1 unless given. Files use the ``.anacat``
@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, TooLargeError
+from .errors import FormatError
 
 __all__ = [
     "Catalog",
     "ExclusionPolicy",
-    "subsample_without_replacement",
     "apply_exclusion",
     "save_catalog",
     "load_catalog",
@@ -87,23 +86,6 @@ class ExclusionPolicy:
     def __post_init__(self):
         if self.min_target_gap < 0:
             raise ValueError("min_target_gap must be >= 0")
-
-
-def subsample_without_replacement(c: Catalog, n_rows: int, seed: int) -> Catalog:
-    """Draw n_rows distinct rows, keeping their original order.
-
-    Deterministic for a given seed. Raises TooLargeError when the request
-    exceeds the source length.
-    """
-    if n_rows < 1:
-        raise ValueError("n_rows must be >= 1")
-    if n_rows > c.length:
-        raise TooLargeError(
-            f"requested {n_rows} rows from a catalog of {c.length}"
-        )
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(c.length, size=n_rows, replace=False))
-    return Catalog(states=c.states[idx], times=c.times[idx], name=c.name, units=c.units)
 
 
 def apply_exclusion(

@@ -217,15 +217,16 @@ def _em(
     xt = np.ascontiguousarray(x.T)
     path = []
     prev = -np.inf
-    converged = False
-    for _ in range(max_iter):
+    for it in range(max_iter):
         log_prob = _log_gaussians(xt, means, covs, cov_type) + np.log(weights)[:, None]
         log_norm, resp = _posterior(log_prob)
         ll = float(np.sum(log_norm))
         path.append(ll)
 
-        if prev > -np.inf and ll - prev <= tol * abs(prev):
-            converged = True
+        # No M-step after the last E-step, so path[-1] is the returned
+        # parameters' own log-likelihood.
+        converged = prev > -np.inf and ll - prev <= tol * abs(prev)
+        if converged or it == max_iter - 1:
             break
         prev = ll
 

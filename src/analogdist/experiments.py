@@ -9,11 +9,11 @@ manifest records the bound arguments. Drivers are deterministic functions
 of their arguments, so re-running from a manifest reproduces every
 artifact bit for bit; a manifest whose parameters do not bind to the
 signature (unknown, missing or uncoercible) raises FormatError before the
-driver runs. Monte Carlo work is spread over a thread pool (numpy and the
-k-d tree release the GIL) but merged in catalog-index order, keeping
-results independent of the worker count; ANALOG_DIST_THREADS sets the pool
-size, at most MAX_WORKERS. The cluster command fits its candidate x seed
-grid on the same pool size.
+driver runs. Monte Carlo work is spread over a thread pool (numpy releases
+the GIL) but merged in catalog-index order, keeping results independent
+of the worker count; ANALOG_DIST_THREADS sets the pool size, at most
+MAX_WORKERS. The cluster command fits its candidate x seed grid on the
+same pool size.
 """
 
 from __future__ import annotations
@@ -32,13 +32,7 @@ from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
-from .catalog import (
-    Catalog,
-    ExclusionPolicy,
-    load_catalog,
-    save_catalog,
-    subsample_without_replacement,
-)
+from .catalog import Catalog, ExclusionPolicy, load_catalog, save_catalog
 from .clustering import assign_spatial_clusters, select_n_clusters
 from .density import gaussian_kde, gaussian_smooth, ks_test, wasserstein1
 from .dimension import estimate_local_dimension, fit_prefactor, rescale_distances
@@ -53,7 +47,7 @@ from .disttheory import (
     distance_variance,
     rescaled_pdf,
 )
-from .errors import FormatError
+from .errors import FormatError, TooLargeError
 from .lorenz import DEFAULT_BURN_IN, DEFAULT_DT, generate_trajectory
 from .manifest import build_manifest, load_manifest, save_manifest, verify_outputs
 from .neighbors import NeighborIndex
@@ -97,12 +91,15 @@ def worker_count() -> int:
     """Thread-pool size: ANALOG_DIST_THREADS if set, else cpu count capped at
     8. A set value above MAX_WORKERS is cut to MAX_WORKERS."""
     env = os.environ.get("ANALOG_DIST_THREADS")
-    if env is not None:
+    if env is None:
+        return min(8, os.cpu_count() or 1)
+    try:
         n = int(env)
-        if n < 1:
-            raise ValueError("ANALOG_DIST_THREADS must be >= 1")
-        return min(n, MAX_WORKERS)
-    return min(8, os.cpu_count() or 1)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"ANALOG_DIST_THREADS must be an integer >= 1, got {env!r}")
+    return min(n, MAX_WORKERS)
 
 
 def _cell(value) -> str:
@@ -252,6 +249,13 @@ def _driver(command: str, kind: str):
     return register
 
 
+def _check_counts(floor: int, **counts: int) -> None:
+    """Raise ValueError naming a count below floor."""
+    for name, n in counts.items():
+        if n < floor:
+            raise ValueError(f"{name} must be >= {floor}, got {n}")
+
+
 def _check_bandwidths(**bandwidths: float) -> None:
     """Raise ValueError naming a bandwidth that is not a positive finite number."""
     for name, bw in bandwidths.items():
@@ -349,8 +353,7 @@ def run_theory_curves(
     their maximum so curves of different rank share one vertical scale.
     Mean, approximate mean, and mode markers are tabulated alongside.
     """
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    _check_counts(2, grid_points=grid_points)
     for d in d_list:
         if not d > 0.0:
             raise ValueError(f"dimension must be positive, got d={d:g}")
@@ -406,10 +409,8 @@ def run_fit_target(
     out: Path, catalog: str, target_index: int, n_analogs: int = 40, exclusion_gap: int = 0
 ) -> ExperimentResult:
     """Fit the power-law distance profile r_k ~ C k^(1/d) at one target."""
-    if n_analogs < 3:
-        raise ValueError(f"n_analogs must be >= 3, got {n_analogs}")
-    if exclusion_gap < 0:
-        raise ValueError(f"exclusion_gap must be >= 0, got {exclusion_gap}")
+    _check_counts(3, n_analogs=n_analogs)
+    _check_counts(0, exclusion_gap=exclusion_gap)
     cat = load_catalog(catalog)
     if not 0 <= target_index < len(cat):
         raise ValueError(f"target_index {target_index} outside catalog of length {len(cat)}")
@@ -485,42 +486,51 @@ def run_mc_distances(
 ) -> ExperimentResult:
     """Distance statistics of one target across independent random catalogs.
 
-    For each requested size L, n_catalogs subsamples are drawn from the
-    source catalog and the target's analog distances are collected. The
-    local dimension is estimated per catalog and its pooled mean over all
-    sizes fixes the exponent for every fit and overlay. Per size this
-    yields the spread of the estimated dimension, the density rescaling
-    rho = C L^(1/d) (whose distribution should not depend on L), and
-    distances rescaled by the per-size mean prefactor to the unit-catalog
-    law, compared with the closed-form density by a KS test at the marker
-    ranks. Rescaling by the mean rather than each catalog's own prefactor
-    keeps the catalog-to-catalog scale fluctuation in the samples; that
-    fluctuation is part of what the closed-form law predicts, and dividing
-    it out per catalog would deflate the sample variance.
+    For each requested size L (above n_analogs_dim, at most the source's
+    length), n_catalogs sub-catalogs of L source rows are drawn. Each takes
+    as its analogs the best-placed rows it holds in the target's one ranking
+    over the source. The local dimension is estimated per catalog and its
+    pooled mean over all sizes fixes the exponent for every fit and overlay.
+    Per size this yields the spread of the estimated dimension, the density
+    rescaling rho = C L^(1/d) (whose distribution should not depend on L),
+    and distances rescaled by the per-size mean prefactor to the
+    unit-catalog law, compared with the closed-form density by a KS test at
+    the marker ranks. Rescaling by the mean rather than each catalog's own
+    prefactor keeps the catalog-to-catalog scale fluctuation in the samples;
+    that fluctuation is part of what the closed-form law predicts, and
+    dividing it out per catalog would deflate the sample variance.
     """
     _check_bandwidths(bw_dim=bw_dim, bw_rho=bw_rho, bw_rescaled=bw_rescaled)
-    if n_catalogs < 2:
-        raise ValueError("n_catalogs must be >= 2")
-    if n_analogs_dim < 3:
-        raise ValueError(f"n_analogs_dim must be >= 3, got {n_analogs_dim}")
+    _check_counts(2, n_catalogs=n_catalogs)
+    _check_counts(3, n_analogs_dim=n_analogs_dim)
     if k_markers and (k_markers[0] < 1 or k_markers[-1] > n_analogs_dim):
         raise ValueError("k_markers must lie within 1..n_analogs_dim")
+    if not l_list or min(l_list) <= n_analogs_dim:
+        raise ValueError(f"l_list must hold sizes > n_analogs_dim = {n_analogs_dim}, got {list(l_list)}")
     source = load_catalog(catalog_source)
     if not 0 <= target_index < len(source):
         raise ValueError(f"target_index {target_index} outside source of length {len(source)}")
+    if max(l_list) > len(source):
+        raise TooLargeError(f"requested {max(l_list)} rows from a catalog of {len(source)}")
 
-    target = source.states[target_index]
-    target_time = int(source.times[target_index])
-    # A gap of one drops the target's own row where a subsample holds it; a
-    # copy of the target at another time stays in and fails the fit.
-    policy = ExclusionPolicy(min_target_gap=1)
+    # Gap one drops the target's own row from the ranking; it is placed last,
+    # behind the n_analogs_dim best places of any sub-catalog that holds it,
+    # as every size exceeds n_analogs_dim. A copy of the target at another
+    # time stays in and fails the fit.
+    ranked = NeighborIndex(source, backend="exhaustive").query(
+        source.states[target_index], len(source) - 1, ExclusionPolicy(min_target_gap=1),
+        int(source.times[target_index]),
+    )
+    place = np.empty(len(source), dtype=np.int64)
+    place[ranked.indices] = np.arange(len(ranked))
+    place[target_index] = len(ranked)
 
     def one_catalog(job):
         li, size, i = job
-        sub = subsample_without_replacement(source, size, seed=seed + li * n_catalogs + i)
-        # One query per subsample: a scan costs less than building a k-d tree.
-        index = NeighborIndex(sub, backend="exhaustive")
-        distances = index.query(target, n_analogs_dim, policy, target_time).distances
+        rng = np.random.default_rng(seed + li * n_catalogs + i)
+        places = place[rng.choice(len(source), size, replace=False)]
+        nearest = np.sort(np.partition(places, n_analogs_dim - 1)[:n_analogs_dim])
+        distances = ranked.distances[nearest]
         return estimate_local_dimension(distances), distances
 
     jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
@@ -640,14 +650,11 @@ def run_rescaled_density(
     law evaluated at the mean fitted dimension.
     """
     _check_bandwidths(bandwidth=bandwidth)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_counts(1, k_max=k_max)
     if n_analogs_dim < max(3, k_max):
         raise ValueError("n_analogs_dim must be >= max(3, k_max)")
-    if n_targets < 2:
-        raise ValueError("n_targets must be >= 2")
-    if exclusion_gap < 0:
-        raise ValueError(f"exclusion_gap must be >= 0, got {exclusion_gap}")
+    _check_counts(2, n_targets=n_targets)
+    _check_counts(0, exclusion_gap=exclusion_gap)
     cat = load_catalog(catalog)
 
     rng = np.random.default_rng(seed)
@@ -765,6 +772,9 @@ def run_cluster(
     seed: int = 0,
 ) -> ExperimentResult:
     """EOF-reduce a catalog, select a mixture size by BIC, assign clusters."""
+    _check_counts(1, n_eof=n_eof, seeds_per_candidate=seeds_per_candidate)
+    if not candidates or min(candidates) < 1:
+        raise ValueError(f"candidates must be a non-empty list of counts >= 1, got {list(candidates)}")
     cat = load_catalog(catalog)
     basis = eof_fit(cat.states, n_eof)
     features = project(basis, cat.states)
@@ -836,18 +846,13 @@ def run_dim_stats(
     whose sigma is a quarter of smooth_window_days), weekly 10-90 %
     quantile spreads, and a histogram.
     """
-    if n_targets < 1:
-        raise ValueError("n_targets must be >= 1")
-    if n_analogs < 3:
-        raise ValueError(f"n_analogs must be >= 3, got {n_analogs}")
-    if steps_per_day < 1:
-        raise ValueError("steps_per_day must be >= 1")
+    _check_counts(1, n_targets=n_targets)
+    _check_counts(3, n_analogs=n_analogs)
+    _check_counts(1, steps_per_day=steps_per_day)
     if not (math.isfinite(smooth_window_days) and smooth_window_days > 0.0):
         raise ValueError(f"smooth_window_days must be finite and > 0, got {smooth_window_days:g}")
-    if hist_bins < 1:
-        raise ValueError(f"hist_bins must be >= 1, got {hist_bins}")
-    if exclusion_gap < 0:
-        raise ValueError(f"exclusion_gap must be >= 0, got {exclusion_gap}")
+    _check_counts(1, hist_bins=hist_bins)
+    _check_counts(0, exclusion_gap=exclusion_gap)
     cat = load_catalog(catalog)
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))

@@ -1,4 +1,4 @@
-"""Catalog container, file round-trips, subsampling, and temporal exclusion."""
+"""Catalog container, file round-trips, and temporal exclusion."""
 
 import json
 import tracemalloc
@@ -15,9 +15,8 @@ from analogdist.catalog import (
     apply_exclusion,
     load_catalog,
     save_catalog,
-    subsample_without_replacement,
 )
-from analogdist.errors import FormatError, TooLargeError
+from analogdist.errors import FormatError
 
 
 def _sample_catalog(rng=None, n=57, d=4):
@@ -206,43 +205,6 @@ def test_format_error_carries_byte_offset(tmp_path):
     with pytest.raises(FormatError) as err:
         load_catalog(path)
     assert err.value.byte_offset == 0
-
-
-# -------------------------------------------------------------- subsampling
-
-
-def test_subsample_full_size_keeps_all_rows():
-    c = _sample_catalog(n=20)
-    sub = subsample_without_replacement(c, 20, seed=0)
-    np.testing.assert_array_equal(sub.states, c.states)
-    np.testing.assert_array_equal(sub.times, c.times)
-
-
-def test_subsample_draws_distinct_source_rows():
-    c = _sample_catalog(n=200)
-    sub = subsample_without_replacement(c, 50, seed=3)
-    assert sub.length == 50
-    # Times are unique in the source, so membership is checkable through them.
-    assert set(sub.times).issubset(set(c.times))
-    assert len(set(sub.times)) == 50
-    assert np.all(np.diff(sub.times) > 0)  # original order kept
-
-
-def test_subsample_is_seeded():
-    c = _sample_catalog(n=500)
-    a = subsample_without_replacement(c, 10, seed=7)
-    b = subsample_without_replacement(c, 10, seed=7)
-    other = subsample_without_replacement(c, 10, seed=8)
-    np.testing.assert_array_equal(a.states, b.states)
-    assert not np.array_equal(a.times, other.times)
-
-
-def test_subsample_rejects_oversized_requests():
-    c = _sample_catalog(n=10)
-    with pytest.raises(TooLargeError):
-        subsample_without_replacement(c, 11, seed=0)
-    with pytest.raises(ValueError):
-        subsample_without_replacement(c, 0, seed=0)
 
 
 # ---------------------------------------------------------------- exclusion

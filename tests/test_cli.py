@@ -271,6 +271,9 @@ class TestExitCodes:
               "--exclusion-gap", "-1"], "exclusion_gap"),
             (["rescaled-density", "--catalog", "CAT", "--n-targets", "20", "--K-dim", "20",
               "--exclusion-gap", "-1"], "exclusion_gap"),
+            (["cluster", "--catalog", "CAT", "--n-eof", "0"], "n_eof"),
+            (["cluster", "--catalog", "CAT", "--seeds", "0"], "seeds_per_candidate"),
+            (["cluster", "--catalog", "CAT", "--candidates", "0,2"], "candidates"),
             (["theory-curves", "--d-list", "2,inf"], "dimension"),
             # Finite, but every density value on the grid underflows to zero.
             (["theory-curves", "--d-list", "1e300", "--k-list", "1", "--grid-points", "8"],
@@ -279,8 +282,8 @@ class TestExitCodes:
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
              "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "dim-stats-K-2",
              "fit-target-K-2", "mc-distances-K-dim-2", "fit-target-gap-negative",
-             "dim-stats-gap-negative", "rescaled-density-gap-negative", "d-list-inf",
-             "d-list-huge"],
+             "dim-stats-gap-negative", "rescaled-density-gap-negative", "cluster-n-eof-0",
+             "cluster-seeds-0", "cluster-candidate-0", "d-list-inf", "d-list-huge"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
                                                 capsys):
@@ -312,6 +315,52 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == 2
         assert "exclusion_gap must be >= 0, got -1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["cluster", "--catalog", "absent.anacat", "--n-eof", "0"], "n_eof must be >= 1, got 0"),
+            (["cluster", "--catalog", "absent.anacat", "--seeds", "0"],
+             "seeds_per_candidate must be >= 1, got 0"),
+            (["cluster", "--catalog", "absent.anacat", "--candidates", "0,2"],
+             "candidates must be a non-empty list of counts >= 1, got [0, 2]"),
+            (["cluster", "--catalog", "absent.anacat", "--candidates", ""],
+             "candidates must be a non-empty list of counts >= 1, got []"),
+            # A sub-catalog of K rows that holds the target has only K - 1 analogs.
+            (["mc-distances", "--catalog-source", "absent.anacat", "--L-list", "200,20",
+              "--K-dim", "20", "--k-markers", "1,5"],
+             "l_list must hold sizes > n_analogs_dim = 20, got [200, 20]"),
+            (["mc-distances", "--catalog-source", "absent.anacat", "--L-list", ""],
+             "l_list must hold sizes > n_analogs_dim = 150, got []"),
+        ],
+        ids=["cluster-n-eof-0", "cluster-seeds-0", "cluster-candidate-0", "cluster-no-candidates",
+             "mc-distances-size-K-dim", "mc-distances-no-sizes"],
+    )
+    def test_bad_count_exits_2_before_reading_the_catalog(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        def unread(path):
+            raise AssertionError(f"read the catalog {path}")
+
+        monkeypatch.setattr(experiments, "load_catalog", unread)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_mc_distances_size_above_the_source_exits_2_before_any_search(
+        self, tiny_catalog, tmp_path, monkeypatch, capsys
+    ):
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("built a NeighborIndex")
+
+        monkeypatch.setattr(experiments, "NeighborIndex", unbuilt)
+        out = tmp_path / "mc"
+        code = main(["mc-distances", "--catalog-source", str(tiny_catalog), "--L-list", "200,500",
+                     "--n-catalogs", "4", "--K-dim", "20", "--k-markers", "1,5", "--out", str(out)])
+        assert code == 2
+        assert "requested 500 rows from a catalog of 400" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(

@@ -91,6 +91,22 @@ def test_log_likelihood_path_non_decreasing(two_blobs):
     assert model.log_likelihood == path[-1]
 
 
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+def test_fit_stopped_at_max_iter_reports_its_own_log_likelihood(cov_type, max_iter):
+    # BIC = p ln n - 2 logL recomputes the returned parameters' likelihood.
+    x = blobs([(0.0, 0.0, 0.0), (5.0, 5.0, 5.0)], 300, 1.0, seed=1)
+    model = gmm_fit(x, 3, seed=1, covariance=cov_type, max_iter=max_iter)
+    assert not model.converged
+    assert len(model.log_likelihood_path) == max_iter
+    n, d = 3, 3
+    cov_params = n * d if cov_type == "diag" else n * d * (d + 1) // 2
+    p = (n - 1) + n * d + cov_params
+    own = (p * math.log(len(x)) - bic(model, x)) / 2.0
+    assert model.log_likelihood == pytest.approx(own, rel=1e-9)
+    assert model.log_likelihood == model.log_likelihood_path[-1]
+
+
 def test_assignments_split_separated_clusters(two_blobs):
     model = gmm_fit(two_blobs, 2, seed=0)
     labels = assign_spatial_clusters(model, two_blobs)

@@ -11,16 +11,19 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from itertools import permutations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from analogdist import dimred, experiments
-from analogdist.catalog import load_catalog
+from analogdist.catalog import Catalog, ExclusionPolicy, load_catalog, save_catalog
 from analogdist.clustering import GmmModel
+from analogdist.dimension import estimate_local_dimension
 from analogdist.experiments import CSV_SCHEMA, RUNNERS, worker_count, write_csv
 from analogdist.manifest import file_sha256, load_manifest, verify_outputs
+from analogdist.neighbors import NeighborIndex
 from csvcols import read_columns
 
 
@@ -140,8 +143,15 @@ class TestWorkerCount:
 
     def test_env_must_be_positive(self, monkeypatch):
         monkeypatch.setenv("ANALOG_DIST_THREADS", "0")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ANALOG_DIST_THREADS must be an integer >= 1, got '0'"):
             worker_count()
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_env_must_be_an_integer(self, monkeypatch, value):
+        monkeypatch.setenv("ANALOG_DIST_THREADS", value)
+        with pytest.raises(ValueError) as err:
+            worker_count()
+        assert str(err.value) == f"ANALOG_DIST_THREADS must be an integer >= 1, got {value!r}"
 
     def test_default_caps_at_eight(self, monkeypatch):
         monkeypatch.delenv("ANALOG_DIST_THREADS", raising=False)
@@ -340,6 +350,63 @@ class TestMcDistances:
         kwargs = {**MC_KWARGS, **bad}
         with pytest.raises(ValueError, match=match):
             experiments.run_mc_distances(tmp_path, small_l63, **kwargs)
+
+
+def _tied_source(path):
+    """Normal rows around a target at the origin, plus every signed
+    permutation of (0.5, 0, 0) and (0.5, 0.5, 0): 18 rows at two exactly
+    equal distances, nearer than the rank-20 analogs."""
+    rng = np.random.default_rng(4)
+    shells = {
+        tuple(s * np.array(v)[list(p)])
+        for v in ((0.5, 0, 0), (0.5, 0.5, 0))
+        for p in permutations(range(3))
+        for s in product((-1.0, 1.0), repeat=3)
+    }
+    states = np.vstack([np.zeros((1, 3)), sorted(shells), rng.normal(scale=2.0, size=(2000, 3))])
+    order = rng.permutation(len(states))
+    save_catalog(Catalog(states[order], np.arange(len(states))), path)
+    return int(np.argmin(order))
+
+
+def _per_subcatalog_dims(path, l_list, n_catalogs, target_index, n_analogs_dim, seed, **_):
+    """The dim column as a search of each sub-catalog gives it: the seeded
+    rows copied into a catalog of their own and queried there. Also counts
+    the sub-catalogs that hold the target and those with tied distances."""
+    source = load_catalog(path)
+    target, time = source.states[target_index], int(source.times[target_index])
+    dims, held, tied = [], 0, 0
+    for li, size in enumerate(l_list):
+        for i in range(n_catalogs):
+            rng = np.random.default_rng(seed + li * n_catalogs + i)
+            rows = np.sort(rng.choice(len(source), size, replace=False))
+            index = NeighborIndex(Catalog(source.states[rows], source.times[rows]), backend="exhaustive")
+            r = index.query(target, n_analogs_dim, ExclusionPolicy(1), time).distances
+            dims.append(estimate_local_dimension(r))
+            held += target_index in rows
+            tied += len(np.unique(r)) < len(r)
+    return dims, held, tied
+
+
+@pytest.mark.parametrize("source", ["l63", "width-128", "ties"])
+def test_one_ranking_equals_a_search_of_each_subcatalog(source, small_l63, tmp_path):
+    kwargs = dict(MC_KWARGS)
+    if source == "l63":
+        path = small_l63
+    elif source == "width-128":
+        path = tmp_path / "wide.anacat"
+        experiments.run_gen_surrogate(path, modes=3, grid=64, n=1500, components=2, seed=5)
+        kwargs.update(l_list=(300, 700), n_catalogs=4, target_index=11)
+    else:
+        path = tmp_path / "ties.anacat"
+        kwargs.update(l_list=(200, 400), target_index=_tied_source(path))
+    experiments.run_mc_distances(tmp_path / "mc", path, **kwargs)
+    dims, held, tied = _per_subcatalog_dims(path, **kwargs)
+    assert read_columns(tmp_path / "mc" / "catalogs.csv")["dim"] == [repr(d) for d in dims]
+    if source == "l63":
+        assert held >= 1
+    if source == "ties":
+        assert tied >= 1
 
 
 class TestRescaledDensity:
