@@ -278,6 +278,8 @@ def gmm_fit(
         raise ValueError("n_components must lie in [1, n_samples]")
     if covariance not in ("full", "diag"):
         raise ValueError("covariance must be 'full' or 'diag'")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     try:
         return _em(x, n_components, seed, covariance, max_iter, tol, reg=0.0)
@@ -361,6 +363,8 @@ def select_n_clusters(
         raise ValueError("candidates must be non-empty")
     if seeds_per_candidate < 1:
         raise ValueError("seeds_per_candidate must be >= 1")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     def fit(job):
         n, seed = job

@@ -40,7 +40,7 @@ _RANK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EofBasis:
-    """Orthonormal components ordered by decreasing explained variance.
+    """Orthonormal components ordered by decreasing covariance eigenvalue.
 
     Signs are normalized so each component's largest-magnitude entry is
     positive, making the fit deterministic.
@@ -67,7 +67,19 @@ def _as_matrix(data) -> np.ndarray:
 
 
 def eof_fit(data, n_components: int) -> EofBasis:
-    """Fit an orthonormal basis by SVD of the centred data.
+    """Fit an orthonormal basis from the eigenvectors of the centred data's
+    Gram matrix X^T X, leading eigenvalue first.
+
+    Each explained variance is the Rayleigh quotient |X v|^2 / (n - 1) of
+    its component, not the eigenvalue, so a direction the data do not span
+    reads as zero to within the rounding of the projection, not of the
+    product X^T X.
+
+    Checked with OpenBLAS 0.3.31 (Haswell kernels) at 1-4 threads on
+    3000-30000 rows: the bytes do not depend on the BLAS thread count at
+    widths up to 96, nor at multiples of 8 up to 200. At other widths from
+    97 the Gram product, and from 145 (every width from 208) eigh itself,
+    can differ in the last bits between thread counts.
 
     Warns with RankDeficientWarning when the requested components reach into
     the numerical null space (trailing variance below 1e-12 of the leading).
@@ -81,16 +93,19 @@ def eof_fit(data, n_components: int) -> EofBasis:
             f"n_components must lie in [1, {min(n_rows, dim)}], got {n_components}"
         )
     mean_state = x.mean(axis=0)
-    _, svals, vt = np.linalg.svd(x - mean_state, full_matrices=False)
-    explained = svals**2 / (n_rows - 1)
-    components = vt[:n_components].copy()
-    explained = explained[:n_components].copy()
+    centred = x - mean_state
+    # eigh returns ascending eigenvalues with eigenvectors as columns.
+    vectors = np.linalg.eigh(centred.T @ centred)[1]
+    components = vectors[:, : -n_components - 1 : -1].T.copy()
 
     # Sign convention: largest-magnitude entry of each component positive.
     for row in components:
         peak = np.argmax(np.abs(row))
         if row[peak] < 0.0:
             row *= -1.0
+
+    scores = centred @ components.T
+    explained = np.einsum("ij,ij->j", scores, scores) / (n_rows - 1)
 
     if explained[-1] < _RANK_TOL * max(explained[0], np.finfo(float).tiny):
         warnings.warn(

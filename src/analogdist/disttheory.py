@@ -21,7 +21,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
+
+# scipy.special is imported inside the functions that call it: loading it
+# would add about a quarter second to the start-up of every CLI command,
+# and only theory-curves, mc-distances and rescaled-density use these laws.
 
 __all__ = [
     "DistParams",
@@ -84,6 +87,8 @@ class MinCatalogSize(NamedTuple):
 def poisson_count_pmf(count, catalog_size: int, measure) -> np.ndarray | float:
     """Probability of finding ``count`` catalog members in a ball of the given
     invariant-measure mass. Vectorized over count and measure."""
+    from scipy import special
+
     count = np.asarray(count)
     if np.any(count < 0) or not np.issubdtype(count.dtype, np.integer):
         raise ValueError("count must be a non-negative integer")
@@ -104,6 +109,8 @@ def poisson_count_pmf(count, catalog_size: int, measure) -> np.ndarray | float:
 
 def log_distance_pdf(r, p: DistParams) -> np.ndarray | float:
     """Natural log of the rank-distance density; -inf outside the support."""
+    from scipy import special
+
     r = np.asarray(r, dtype=np.float64)
     x = r / p.scale
     k, d, size = p.rank, p.dim, p.catalog_size
@@ -131,6 +138,8 @@ def distance_pdf(r, p: DistParams) -> np.ndarray | float:
 
 def distance_survival(r, p: DistParams) -> np.ndarray | float:
     """P(rank-distance > r), the regularized upper incomplete Gamma."""
+    from scipy import special
+
     r = np.asarray(r, dtype=np.float64)
     x = np.maximum(r, 0.0) / p.scale
     out = special.gammaincc(p.rank, p.catalog_size * x**p.dim)
@@ -140,6 +149,8 @@ def distance_survival(r, p: DistParams) -> np.ndarray | float:
 def survival_inverse(q: float, p: DistParams) -> float:
     """Distance whose survival probability equals q (used for plot and
     quadrature upper limits)."""
+    from scipy import special
+
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly between 0 and 1")
     x = special.gammainccinv(p.rank, q) / p.catalog_size
@@ -148,6 +159,8 @@ def survival_inverse(q: float, p: DistParams) -> float:
 
 def distance_mean(p: DistParams) -> float:
     """Exact mean, Gamma(rank + 1/dim) / (catalog_size**(1/dim) Gamma(rank))."""
+    from scipy import special
+
     k, d = p.rank, p.dim
     return p.scale * math.exp(
         special.gammaln(k + 1.0 / d)
@@ -158,6 +171,8 @@ def distance_mean(p: DistParams) -> float:
 
 def distance_variance(p: DistParams) -> float:
     """Exact variance via the first two moments, in log-Gamma arithmetic."""
+    from scipy import special
+
     k, d, size = p.rank, p.dim, p.catalog_size
     lg_k = special.gammaln(k)
     m1 = math.exp(special.gammaln(k + 1.0 / d) - lg_k - math.log(size) / d)
@@ -206,6 +221,8 @@ def log_rescaled_pdf(u, rank: int, dim: float) -> np.ndarray | float:
     the rank grows. Evaluated via log-Gamma so that ranks beyond 170 do not
     overflow the leading factor.
     """
+    from scipy import special
+
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if not dim > 0.0:

@@ -119,9 +119,10 @@ class NeighborIndex:
         diff = self.catalog.states[idx] - z
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def _preselect(self, z: np.ndarray, m: int) -> np.ndarray:
-        """Rows that may lie among the m nearest: every row when m >= L or
-        the norm-form bounds are not finite.
+    def _preselect(self, z: np.ndarray, m: int) -> np.ndarray | slice:
+        """Rows that may lie among the m nearest: every row, as slice(None)
+        so the scan copies no state, when m >= L or the norm-form bounds are
+        not finite.
 
         With h = max |x|^2 + |z|^2, the norm form |x|^2 + |z|^2 - 2 x.z and
         the exact square sum((x - z)**2) of any row, both as computed, differ
@@ -138,7 +139,7 @@ class NeighborIndex:
         h = self._max_sqnorm + zz
         # |norm form| <= 2h, so nothing below overflows when 4h is finite.
         if m >= self.catalog.length or not math.isfinite(4.0 * h):
-            return np.arange(self.catalog.length)
+            return slice(None)
         margin = 4.0 * (self.catalog.dim + 4) * (_EPS * h + _SUBNORMAL)
         form = self._sqnorms - 2.0 * (self.catalog.states @ z) + zz
         limit = (np.partition(form, m - 1)[m - 1] + 2.0 * margin) * (1.0 + 8.0 * _EPS)
@@ -163,6 +164,8 @@ class NeighborIndex:
             else:
                 sel = np.atleast_1d(np.asarray(idx, dtype=np.int64))[:m]
         dist = self._exact_distances(z, sel)
+        if isinstance(sel, slice):
+            sel = np.arange(L)
         if len(sel) > m:
             # Extend across ties at the cut so index order stays exact.
             keep = dist <= np.partition(dist, m - 1)[m - 1]

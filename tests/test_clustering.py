@@ -237,6 +237,14 @@ def test_fit_validation(data, n, kwargs):
         gmm_fit(data, n, **kwargs)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_max_iter_must_be_positive(two_blobs, max_iter):
+    with pytest.raises(ValueError, match="max_iter"):
+        gmm_fit(two_blobs, 2, max_iter=max_iter)
+    with pytest.raises(ValueError, match="max_iter"):
+        select_n_clusters(two_blobs, (1, 2), max_iter=max_iter)
+
+
 def test_dimension_mismatch(two_blobs):
     model = gmm_fit(two_blobs[:80], 2, seed=0)
     with pytest.raises(DimensionMismatchError):

@@ -6,7 +6,11 @@ the scan against a catalog with a known decaying variance spectrum.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +96,43 @@ def test_eof_component_count_validation(n_components):
 def test_eof_needs_two_rows():
     with pytest.raises(ValueError):
         eof_fit(np.ones((1, 3)), 1)
+
+
+# A decaying spectrum over a tall catalog, as the gridded surrogates have.
+# At these shapes an SVD of the centred data gives different bytes at 1 and
+# 2 BLAS threads; widths up to 96 and multiples of 8 up to 200 must not.
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from analogdist.dimred import eof_fit, project
+rng = np.random.default_rng(8)
+width = int(sys.argv[1])
+x = rng.normal(size=(10_000, width)) @ rng.normal(size=(width, width))
+x *= np.exp(-np.arange(width) / 8.0)
+basis = eof_fit(x, 20)
+out = hashlib.sha256()
+for part in (basis.mean_state, basis.components, basis.explained_variance, project(basis, x)):
+    out.update(part.tobytes())
+print(out.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_eof_bytes_do_not_depend_on_blas_threads(width):
+    # OpenBLAS reads its thread count once, when numpy loads, so each count
+    # needs a fresh interpreter.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE, str(width)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 # ---------------------------------------------------------------------------

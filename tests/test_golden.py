@@ -198,7 +198,7 @@ GOLDEN = {
             "ratio.svg":
                 "d56f5c5fe5be3608f3571cf660aa880d55df8794368b715f228ffb62efc051a1",
             "scan.csv":
-                "4a8a81b590711c1a8b6d295810ffee4b549a8ed3a081733f4c4f570f04a79661",
+                "1352b8e9afd0a1f42648bec027f06c15d5c0a61fe859b2a569c966994efba02d",
         },
         "stdout_sha256": "17e6060f1f6678a56f4656e6a0d98b80447ef39864f3e5a59c5da8ac5655dd8d",
     },
@@ -213,13 +213,13 @@ GOLDEN = {
             "assignments.csv":
                 "97c76ceec3548a95ab6279440faca573c735eb759a796b95108808755a93239f",
             "bic.csv":
-                "4a71dde1c1cdea4312d44da23118a2f03fa0e319083f8817dbac81f4da3f3f98",
+                "e7420815f6fb5bffba5e0759d69f2532780a4c600f27bded0a8a15e69f31878f",
             "bic.svg":
                 "f354ef418257098258e888604c34df5c7bd9a2ce5eb9f243f9a8593817149143",
             "eof.csv":
-                "86b82fb5b270bbc986bd18fa60940d8ff6256b0ad456c5ff06ae014b74d3b207",
+                "91acb9b8c45a4bb131ec79cab620a72cd92a6396e9ec257b6911d1e11e03981c",
             "model.json":
-                "a5c9713eaa68f6b30105e346145c7c0439150996961e4f1814173e51f39ce6f1",
+                "2b6490fdab0c20399b4321979d79d97e4b3fa4ebc519882095c15c536d8fa83e",
         },
         "stdout_sha256": "1c55922b1e790d4eb61d7e77560c1cf4d8b1a140ee0c5bfd467a418105ec596d",
     },
@@ -234,13 +234,13 @@ GOLDEN = {
             "assignments.csv":
                 "4a23627099927e60c1611717d66a7bf77f9f1b061145aba46cd839a39d72005e",
             "bic.csv":
-                "37cb9244f83bb56e9f0ffc61204ebe06ead6e9332fce9ef728308c07d4ab989a",
+                "f7ff7a9b23331bd89b879953387a87b3c06839d7b0574486eb137485dc0deda6",
             "bic.svg":
                 "49e2016a6085dea1333570ba6ef707ae37300ee9042583fedf27cde7e5b8a723",
             "eof.csv":
-                "86b82fb5b270bbc986bd18fa60940d8ff6256b0ad456c5ff06ae014b74d3b207",
+                "91acb9b8c45a4bb131ec79cab620a72cd92a6396e9ec257b6911d1e11e03981c",
             "model.json":
-                "00884f920734366cf2c310db440244624f378eeb988e640990eaf4b09cc17f5b",
+                "d5d76dcd68793f49dfa219a7517c0f19ba8425266ae8120fc50dc15c4e6cc20f",
         },
         "stdout_sha256": "7c68b29ea4eba704b35576867f30a84aaa3f3c0f1c367653cd3c170022ed7c07",
     },

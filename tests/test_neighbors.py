@@ -1,6 +1,7 @@
 """Nearest-neighbour search: exactness against a brute-force oracle,
 tie-breaking, prefix consistency, and exclusion-policy integration."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -206,6 +207,28 @@ def test_exhaustive_search_with_overflowing_norms(member):
             exp_dist, exp_idx = _full_scan(states, z, k)
             np.testing.assert_array_equal(found.indices, exp_idx)
             np.testing.assert_array_equal(found.distances, exp_dist)
+
+
+def test_whole_catalog_query_copies_no_state_row():
+    # A query for every other row (mc-distances' ranking of the target over
+    # its source) scans the states in place: one difference array the size
+    # of the states plus index and distance vectors, and no gathered copy
+    # of every row on top.
+    rng = np.random.default_rng(37)
+    n = 200_000
+    cat = Catalog(rng.normal(size=(n, 3)))
+    index = NeighborIndex(cat, backend="exhaustive")
+    tracemalloc.start()
+    try:
+        found = index.query(cat.states[123], n - 1, ExclusionPolicy(1), target_time=123)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * cat.states.nbytes
+    exp_dist, exp_idx = _full_scan(cat.states, cat.states[123], n)
+    others = exp_idx != 123
+    np.testing.assert_array_equal(found.indices, exp_idx[others])
+    np.testing.assert_array_equal(found.distances, exp_dist[others])
 
 
 # -------------------------------------------------------------- radius query
