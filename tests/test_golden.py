@@ -93,7 +93,7 @@ GOLDEN = {
         "seeds": {"seed": 4},
         "outputs": {
             "wind.anacat":
-                "314f614029c9f48be64c6f772d6a0512411aa119437c8582838f9d9014154546",
+                "936c35b56f166dbb05caab2886d235bc86f6bff0e02178a5d6fbb39172784cc9",
         },
         "stdout_sha256": "33477ff8abe826dd97b06f7905dbe863ab4e2e482960dcfe6732c99e4a5dc06f",
     },
@@ -174,11 +174,11 @@ GOLDEN = {
         "seeds": {"seed": 1},
         "outputs": {
             "curves.csv":
-                "44308cc9adcf42f5008dd44d6262d985747c1a181a7a04a973101651188c4779",
+                "1dc3633413a51a29bef3b9d92c811992f700de3b790d6a73e41a7aa7ec05fa9f",
             "rescaled.svg":
                 "b0bc0bcc99d9b98994e2a5497085945d867bb2d5dd4bc637fdec12498dec5bbf",
             "targets.csv":
-                "d3233ad7c35262e48219b98f6dd497e8a409d5a1a11fabb66914eabed0686e09",
+                "801d068644da9749dd3a419c64ff403a90c2cf738ccd479cd219021f6b3bf1b5",
         },
         "stdout_sha256": "8e3c679eb62b2f9866a0bd59baead44d891d9c04d424d40fea32b22b51139be1",
     },
@@ -198,7 +198,7 @@ GOLDEN = {
             "ratio.svg":
                 "d56f5c5fe5be3608f3571cf660aa880d55df8794368b715f228ffb62efc051a1",
             "scan.csv":
-                "1352b8e9afd0a1f42648bec027f06c15d5c0a61fe859b2a569c966994efba02d",
+                "e4efbbd8fc0272a3eeb7f86e0470cc29b7c9719e0eb4f740e9f4e321a90e5f8d",
         },
         "stdout_sha256": "17e6060f1f6678a56f4656e6a0d98b80447ef39864f3e5a59c5da8ac5655dd8d",
     },
@@ -213,13 +213,13 @@ GOLDEN = {
             "assignments.csv":
                 "97c76ceec3548a95ab6279440faca573c735eb759a796b95108808755a93239f",
             "bic.csv":
-                "e7420815f6fb5bffba5e0759d69f2532780a4c600f27bded0a8a15e69f31878f",
+                "b5ab0e7eee5789924c9c5e10cb9e66648ac4ea7ab01ccadfb148d0b7a5d37c71",
             "bic.svg":
                 "f354ef418257098258e888604c34df5c7bd9a2ce5eb9f243f9a8593817149143",
             "eof.csv":
-                "91acb9b8c45a4bb131ec79cab620a72cd92a6396e9ec257b6911d1e11e03981c",
+                "49f279cf97753d387929d8ca802916491d3c76b2e72e15d0dcddbb7afffbc98e",
             "model.json":
-                "2b6490fdab0c20399b4321979d79d97e4b3fa4ebc519882095c15c536d8fa83e",
+                "7f0c9a72b3563c57258a82682311c358fd4b8e9021f100713a532e42de02840b",
         },
         "stdout_sha256": "1c55922b1e790d4eb61d7e77560c1cf4d8b1a140ee0c5bfd467a418105ec596d",
     },
@@ -234,13 +234,13 @@ GOLDEN = {
             "assignments.csv":
                 "4a23627099927e60c1611717d66a7bf77f9f1b061145aba46cd839a39d72005e",
             "bic.csv":
-                "f7ff7a9b23331bd89b879953387a87b3c06839d7b0574486eb137485dc0deda6",
+                "b925078284adac90d594eb742fc9e27412d817f86d842601fb02ff8ac96dae87",
             "bic.svg":
                 "49e2016a6085dea1333570ba6ef707ae37300ee9042583fedf27cde7e5b8a723",
             "eof.csv":
-                "91acb9b8c45a4bb131ec79cab620a72cd92a6396e9ec257b6911d1e11e03981c",
+                "49f279cf97753d387929d8ca802916491d3c76b2e72e15d0dcddbb7afffbc98e",
             "model.json":
-                "d5d76dcd68793f49dfa219a7517c0f19ba8425266ae8120fc50dc15c4e6cc20f",
+                "e750c73aed64e991ee70ca38e3103d1a57d4b251fbbb3d375e362c250b8135e9",
         },
         "stdout_sha256": "7c68b29ea4eba704b35576867f30a84aaa3f3c0f1c367653cd3c170022ed7c07",
     },

@@ -5,6 +5,12 @@ the state matrix, so the matrix rank pins the mode count; single-mode rows
 have closed-form mean and rms over a full spatial period.
 """
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -12,7 +18,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from analogdist.catalog import Catalog
 from analogdist.dimension import estimate_local_dimension
 from analogdist.neighbors import NeighborIndex
-from analogdist.surrogate import traveling_modes_surrogate
+from analogdist.surrogate import _primes, traveling_modes_surrogate
 
 
 def test_shapes_times_and_metadata():
@@ -78,6 +84,57 @@ def test_local_dimension_tracks_mode_count():
     assert 1.4 < float(np.mean(dims)) < 2.8
 
 
+def _per_mode_sines(n_modes, n_grid, n_samples, seed, n_components, amplitude_decay=0.85):
+    """The noise-free field summed one mode at a time, one sine of the
+    phase difference per mode, with the generator's draws in its order."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    speeds = np.sqrt(_primes(n_modes)).astype(np.float64)
+    phases = np.outer(np.arange(n_samples, dtype=np.float64), speeds)
+    phases += rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+    blocks = []
+    for _ in range(n_components):
+        wavenumbers = rng.permutation(np.arange(1, n_modes + 1))
+        pattern_phase = rng.uniform(0.0, 2.0 * np.pi, size=n_modes)
+        field = np.zeros((n_samples, n_grid))
+        for j in range(n_modes):
+            spatial = wavenumbers[j] * x + pattern_phase[j]
+            field += amplitude_decay**j * np.sin(phases[:, j : j + 1] - spatial[None, :])
+        blocks.append(field)
+    return np.concatenate(blocks, axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+def test_matches_per_mode_sines(seed):
+    # The wind shape (13 modes, 64 points, two components) at a small n.
+    cat = traveling_modes_surrogate(13, n_grid=64, n_samples=2000, noise=0.0, seed=seed,
+                                    n_components=2)
+    assert_allclose(cat.states, _per_mode_sines(13, 64, 2000, seed, 2), rtol=0, atol=1e-9)
+
+
+# The wind shape at a width (100) that is not a multiple of 8.
+_GEN_ARGS = ["gen-surrogate", "--modes", "13", "--grid", "50", "--components", "2",
+             "--n", "10000", "--seed", "41"]
+
+
+def test_gen_surrogate_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS reads its thread count once, when numpy loads, so each count
+    # needs a fresh interpreter.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"wind{threads}.anacat"
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        run = subprocess.run(
+            [sys.executable, "-m", "analogdist", *_GEN_ARGS, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -85,6 +142,8 @@ def test_local_dimension_tracks_mode_count():
         {"n_modes": 5, "n_grid": 9},
         {"n_modes": 2, "n_samples": 1},
         {"n_modes": 2, "noise": -1e-6},
+        {"n_modes": 2, "noise": float("nan")},
+        {"n_modes": 2, "noise": float("inf")},
         {"n_modes": 2, "n_components": 0},
         {"n_modes": 2, "amplitude_decay": 0.0},
         {"n_modes": 2, "amplitude_decay": 1.0001},
