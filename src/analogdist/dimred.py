@@ -233,10 +233,10 @@ def criterion_scan(
     x = _as_matrix(data)
     n_rows = len(x)
     ranks = [int(k) for k in ranks]
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
-    if not rho_bar > 0.0:
-        raise ValueError("rho_bar must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0.0 < rho_bar < math.inf:
+        raise ValueError(f"rho_bar must be positive and finite, got {rho_bar}")
     if l_eff is None:
         l_eff = max(2, n_rows // 24)
     elif l_eff < 2:
@@ -278,7 +278,7 @@ def criterion_scan(
         reduced = project(basis, x, n)
         scale = rmsd(reduced, n_pairs=rmsd_pairs, seed=seed)
         dist = NeighborIndex(Catalog(reduced)).row_distances(targets, k_query)
-        mean_dim = float(np.mean([estimate_local_dimension(r[:n_analogs]) for r in dist]))
+        mean_dim = float(np.mean(estimate_local_dimension(dist[:, :n_analogs])))
         for k, cols in zip(ranks, scans):
             ratio = float(np.mean(dist[:, k - 1])) / scale
             cols["n_eof"].append(n)

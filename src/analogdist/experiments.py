@@ -530,16 +530,16 @@ def run_mc_distances(
         rng = np.random.default_rng(seed + li * n_catalogs + i)
         places = place[rng.choice(len(source), size, replace=False)]
         nearest = np.sort(np.partition(places, n_analogs_dim - 1)[:n_analogs_dim])
-        distances = ranked.distances[nearest]
-        return estimate_local_dimension(distances), distances
+        return ranked.distances[nearest]
 
     jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
     with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(one_catalog, jobs))
+        all_dists = np.vstack(list(pool.map(one_catalog, jobs)))
+    all_dims = estimate_local_dimension(all_dists)
 
     # One exponent for everything downstream: the pooled mean keeps the KS
     # overlays and the rho distributions of every size on a common scale.
-    dbar = float(np.mean([c[0] for c in results]))
+    dbar = float(np.mean(all_dims))
 
     outputs = []
     cat_cols = {"L": [], "catalog": [], "dim": [], "prefactor": [], "rho": []}
@@ -549,13 +549,10 @@ def run_mc_distances(
     p_bits: dict[int, list[str]] = {k: [] for k in k_markers}
     summary = []
 
-    for li, size in enumerate(l_list):
-        chunk = results[li * n_catalogs : (li + 1) * n_catalogs]
-        dims = np.array([c[0] for c in chunk])
-        dists = np.vstack([c[1] for c in chunk])
-        fits = [fit_prefactor(row, dbar, size) for row in dists]
-        prefs = np.array([f.prefactor for f in fits])
-        rho = np.array([f.rescaling for f in fits])
+    for size, dims, dists in zip(l_list, np.split(all_dims, len(l_list)),
+                                 np.split(all_dists, len(l_list))):
+        fit = fit_prefactor(dists, dbar, size)
+        prefs, rho = fit.prefactor, fit.rescaling
         label = f"L={size}"
         dims_by_label[label] = dims
         rho_by_label[label] = rho
@@ -580,7 +577,7 @@ def run_mc_distances(
             f"rho mean {rho.mean():.3f} std {rho.std(ddof=1):.3f}"
         )
 
-    summary.insert(0, f"pooled dim {dbar:.4f} over {len(results)} catalogs")
+    summary.insert(0, f"pooled dim {dbar:.4f} over {len(all_dims)} catalogs")
 
     outputs.append(write_csv(out / "catalogs.csv", "mc-catalogs", cat_cols))
     outputs.append(write_csv(out / "ks.csv", "mc-ks-tests", ks_cols))
@@ -660,14 +657,9 @@ def run_rescaled_density(
     rng = np.random.default_rng(seed)
     picks = np.sort(rng.choice(len(cat), size=min(n_targets, len(cat)), replace=False))
     distances = NeighborIndex(cat).row_distances(picks, n_analogs_dim, exclusion_gap)
-    dims = np.empty(len(picks))
-    prefs = np.empty(len(picks))
-    u_rows = np.empty((len(picks), k_max))
-    for j, r in enumerate(distances):
-        dim = estimate_local_dimension(r)
-        fit = fit_prefactor(r, dim, len(cat))
-        dims[j], prefs[j] = dim, fit.prefactor
-        u_rows[j] = rescale_distances(r, dim, fit.prefactor)[:k_max]
+    dims = estimate_local_dimension(distances)
+    prefs = fit_prefactor(distances, dims, len(cat)).prefactor
+    u_rows = rescale_distances(distances, dims, prefs)[:, :k_max]
     dbar = float(dims.mean())
 
     targets_csv = write_csv(
@@ -846,7 +838,7 @@ def run_dim_stats(
     whose sigma is a quarter of smooth_window_days), weekly 10-90 %
     quantile spreads, and a histogram.
     """
-    _check_counts(1, n_targets=n_targets)
+    _check_counts(2, n_targets=n_targets)
     _check_counts(3, n_analogs=n_analogs)
     _check_counts(1, steps_per_day=steps_per_day)
     if not (math.isfinite(smooth_window_days) and smooth_window_days > 0.0):
@@ -857,7 +849,7 @@ def run_dim_stats(
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
     distances = NeighborIndex(cat).row_distances(picks, n_analogs, exclusion_gap)
-    dims = np.array([estimate_local_dimension(r) for r in distances])
+    dims = estimate_local_dimension(distances)
     tvals = cat.times[picks]
 
     dims_csv = write_csv(

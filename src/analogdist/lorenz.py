@@ -104,8 +104,8 @@ def generate_trajectory(
         raise ValueError("stride must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
 
     # Everything entering the RK4 loop is a Python float: one numpy scalar
     # (a jitter draw, a numpy-typed dt or parameter) would turn every stage

@@ -195,7 +195,7 @@ class TestExitCodes:
             ["dim-stats", "--catalog", str(tiny_catalog), "--n-targets", "0", "--out", str(out)]
         )
         assert code == 2
-        assert "n_targets must be >= 1" in capsys.readouterr().err
+        assert "n_targets must be >= 2" in capsys.readouterr().err
         assert list(out.glob("*.csv")) == []
 
     def test_fit_target_numbers_a_catalog_without_times(self, tmp_path, capsys):
@@ -282,13 +282,22 @@ class TestExitCodes:
              "noise"),
             (["gen-surrogate", "--modes", "2", "--grid", "8", "--n", "50", "--noise", "inf"],
              "noise"),
+            (["gen-l63", "--n", "100", "--dt", "nan"], "dt"),
+            (["gen-l63", "--n", "100", "--dt", "inf"], "dt"),
+            (["dmax-scan", "--catalog", "CAT", "--k-list", "1,5", "--epsilon", "inf"],
+             "epsilon"),
+            (["dmax-scan", "--catalog", "CAT", "--k-list", "1,5", "--epsilon", "0.4",
+              "--rho-bar", "inf"], "rho_bar"),
+            (["dim-stats", "--catalog", "CAT", "--n-targets", "1", "--K", "10"], "n_targets"),
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
              "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "dim-stats-K-2",
              "fit-target-K-2", "mc-distances-K-dim-2", "fit-target-gap-negative",
              "dim-stats-gap-negative", "rescaled-density-gap-negative", "cluster-n-eof-0",
              "cluster-seeds-0", "cluster-candidate-0", "d-list-inf", "d-list-huge",
-             "gen-surrogate-noise-nan", "gen-surrogate-noise-inf"],
+             "gen-surrogate-noise-nan", "gen-surrogate-noise-inf", "gen-l63-dt-nan",
+             "gen-l63-dt-inf", "dmax-scan-epsilon-inf", "dmax-scan-rho-bar-inf",
+             "dim-stats-n-targets-1"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
                                                 capsys):

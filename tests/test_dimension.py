@@ -17,8 +17,11 @@ from analogdist.dimension import (
     fit_prefactor,
     rescale_distances,
 )
+from analogdist.catalog import Catalog
 from analogdist.disttheory import sample_joint_distances
 from analogdist.errors import DegenerateDistancesError
+from analogdist.lorenz import generate_trajectory
+from analogdist.neighbors import NeighborIndex
 
 
 def _power_law_distances(n, exponent):
@@ -153,3 +156,74 @@ def test_rescaling_round_trip_through_fit():
     fit = fit_prefactor(r, dim, catalog_size=10**6)
     u = rescale_distances(r, dim, fit.prefactor)
     assert np.abs(np.mean(u)) < 0.05
+
+
+# ------------------------------------------------------------------- blocks
+
+
+def _sampled_block():
+    return sample_joint_distances(30, 2.4, 50_000, n_samples=200, seed=11)
+
+
+def _searched_block():
+    states = generate_trajectory(n_steps=3000, stride=5, seed=2)
+    return NeighborIndex(Catalog(states)).row_distances(np.arange(0, 3000, 15), 30, 10)
+
+
+def _assert_same_bytes(block, rows):
+    assert block.dtype == np.float64
+    assert block.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("make_block", [_sampled_block, _searched_block],
+                         ids=["sampled", "searched"])
+@pytest.mark.parametrize("n", [30, 12, 3])
+def test_block_estimators_equal_stacked_rows_bitwise(make_block, n):
+    # n < 30 takes the non-contiguous view dist[:, :n] that criterion_scan uses.
+    block = make_block()[:, :n]
+    assert block.flags.c_contiguous == (n == 30)
+    catalog_size = 50_000
+    dims = estimate_local_dimension(block)
+    _assert_same_bytes(dims, [estimate_local_dimension(r) for r in block])
+    assert all(isinstance(estimate_local_dimension(r), float) for r in block[:3])
+
+    # Per-row dims, as rescaled-density fits, and one pooled dim, as mc-distances does.
+    for dim in (dims, float(dims.mean())):
+        row_dims = np.broadcast_to(dim, dims.shape)
+        fit = fit_prefactor(block, dim, catalog_size)
+        rows = [fit_prefactor(r, d, catalog_size) for r, d in zip(block, row_dims)]
+        for field in ("prefactor", "rescaling", "residual"):
+            _assert_same_bytes(getattr(fit, field), [getattr(f, field) for f in rows])
+        u = rescale_distances(block, dim, fit.prefactor)
+        _assert_same_bytes(u, [rescale_distances(r, d, c)
+                               for r, d, c in zip(block, row_dims, fit.prefactor)])
+
+
+def test_one_row_gives_scalars():
+    r = _sampled_block()[0]
+    dim = estimate_local_dimension(r)
+    fit = fit_prefactor(r, dim, 50_000)
+    assert type(dim) is np.float64
+    assert all(type(v) is np.float64 for v in (fit.prefactor, fit.rescaling, fit.residual))
+    assert rescale_distances(r, dim, fit.prefactor).shape == r.shape
+
+
+def test_tied_row_inside_a_block_is_degenerate():
+    block = _sampled_block()[:, :10].copy()
+    block[57, -1] = block[57, -2]
+    with pytest.raises(DegenerateDistancesError):
+        estimate_local_dimension(block)
+    estimate_local_dimension(np.delete(block, 57, axis=0))
+
+
+def test_block_checks_cover_every_row():
+    block = _sampled_block()[:5, :10].copy()
+    with pytest.raises(ValueError, match="at least 3 analogs, got 2"):
+        estimate_local_dimension(block[:, :2])
+    block[3, 0] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        estimate_local_dimension(block)
+    with pytest.raises(ValueError, match="dim must be positive"):
+        fit_prefactor(block[:3], np.array([2.0, -1.0, 2.0]), 100)
+    with pytest.raises(ValueError, match="must be positive"):
+        rescale_distances(block[:3], np.array([2.0, 2.0, 2.0]), np.array([0.1, 0.0, 0.1]))

@@ -357,6 +357,18 @@ def test_reduction_criterion_validation(decaying_catalog, monkeypatch):
         criterion_scan(decaying_catalog, 0.3, [25], (1, 2), rho_bar=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["epsilon", "rho_bar"])
+def test_non_finite_tolerance_is_rejected(name, value, decaying_catalog, monkeypatch):
+    # An infinite epsilon passes every truncation and an infinite rho_bar
+    # gives a zero theory bound, so neither is a usable setting.
+    monkeypatch.setattr(dimred, "eof_fit", _no_eof_fit)
+    settings = {"epsilon": 0.3, "rho_bar": 0.55, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+        criterion_scan(decaying_catalog, settings["epsilon"], [25], (1, 2),
+                       rho_bar=settings["rho_bar"])
+
+
 @pytest.mark.parametrize("width,counts", [(12, (2, 5, 12)), (26, (3, 21, 26))])
 def test_scan_of_several_criteria_equals_scans_of_each(width, counts):
     # Truncations up to 20 search with the k-d tree, wider ones exhaustively;

@@ -382,7 +382,7 @@ def _per_subcatalog_dims(path, l_list, n_catalogs, target_index, n_analogs_dim, 
             rows = np.sort(rng.choice(len(source), size, replace=False))
             index = NeighborIndex(Catalog(source.states[rows], source.times[rows]), backend="exhaustive")
             r = index.query(target, n_analogs_dim, ExclusionPolicy(1), time).distances
-            dims.append(estimate_local_dimension(r))
+            dims.append(float(estimate_local_dimension(r)))
             held += target_index in rows
             tied += len(np.unique(r)) < len(r)
     return dims, held, tied

@@ -99,6 +99,14 @@ def test_unstable_dt_raises_non_finite():
         generate_trajectory(n_steps=10, dt=10.0, burn_in=100)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+def test_non_finite_dt_is_a_bad_setting(dt):
+    # A step that is not a finite number is rejected before the first step,
+    # not reported as a diverged integration.
+    with pytest.raises(ValueError, match=f"dt must be positive and finite, got {dt}"):
+        generate_trajectory(n_steps=10, dt=dt, burn_in=100)
+
+
 def test_sample_count_and_shape():
     states = generate_trajectory(n_steps=137, burn_in=50, stride=3)
     assert states.shape == (137, 3)
