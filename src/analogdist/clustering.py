@@ -4,20 +4,35 @@ The EM implementation keeps the per-iteration log-likelihood trace so the
 monotonicity of the algorithm is observable, and treats covariance collapse
 explicitly: one retry with a small diagonal regularization, then failure.
 
-Each EM iteration is a few whole-array numpy calls over all components at
-once, laid out component-major so that every reduction over components or
-dimensions runs along whole rows. The E-step forms the (n, D, M) stack of
-differences from every component mean and whitens it: diagonal covariances
-divide by the standard deviations, full covariances multiply by the inverse
-factors of one batched Cholesky decomposition of the (n, D, D) covariance
-stack. Working on the differences, not on the expanded quadratic form,
-keeps data far from the origin free of cancellation. The log-sum-exp over
-components shifts out the per-sample maximum, and the shifted exponentials
-serve both the log-likelihood and the responsibilities. The M-step forms
-all weights, means and covariances in batched products. Long catalogs are
-processed in row blocks that bound each temporary at 256 KB.
-select_n_clusters fits its candidate x seed grid on a thread pool and
-merges in grid order, so its result does not depend on the worker count.
+EM advances all restarts (seeds) of one component count together: their
+components sit side by side on one component axis, so each numpy call of
+an iteration does the work of every restart. A restart that converges
+leaves the stack with the parameters of its last E-step; one whose
+covariance collapses leaves it and is retried afterwards, with the other
+collapsed restarts of the stack, at the regularized diagonal.
+
+The E-step is matrix products over features of the data centred once at
+its mean c, with x' = x - c and mu' = mu - c:
+- diagonal: one product of the per-component coefficients
+  [-1/2sigma^2, mu'/sigma^2, normalizer + log w] with the features
+  [x'^2; x'; 1], the expanded quadratic form. It cancels: its error is
+  about eps * (|mu'| / sigma)^2. A 3-d component of sigma 1e-3 lying 866
+  from the data mean had its log densities off by 1.1e-4, and at sigma
+  1e-5 by 0.9.
+- full: per row block, one batched product of the stacked [L^-1 | -L^-1 mu']
+  (one batched Cholesky decomposition L L^T of the covariance stack) with
+  [x'; 1], which gives the whitened differences L^-1 (x - mu); then each
+  component's squared norm. Its error grows with |x'| / sigma, not with
+  its square: 1.4e-10 in the case above, and 1.7e-8 at sigma 1e-5.
+The log-sum-exp over components shifts out the per-sample maximum, and the
+shifted exponentials, taken in place, serve both the log-likelihood and
+the responsibilities. The M-step works on the raw data in two passes, the
+means and then the posterior-weighted scatter about them, so tight,
+distant components keep their digits and an exactly singular component
+still collapses. Long catalogs are processed in row blocks that bound each
+temporary at 256 KB. select_n_clusters runs one pool job per candidate
+count and merges in candidate-then-seed order, so its result does not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +59,12 @@ __all__ = [
 
 _WEIGHT_FLOOR = 1e-12
 _REG_FACTOR = 1e-6
+# A later restart replaces the kept one only when its log-likelihood is
+# higher by more than this relative margin. Restarts that reach one optimum
+# with their components in another order differ only by rounding (about
+# 1e-16 relative on the mixture workload), and which of them is kept should
+# not depend on the last bits of a sum.
+_LL_TIE = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 _TINY = np.finfo(np.float64).tiny
 # Each (n, D, rows) temporary of an EM pass holds at most this many doubles
@@ -116,38 +137,76 @@ def _check_data(data) -> np.ndarray:
     return x
 
 
+def _check_fit(x: np.ndarray, counts, covariance: str, max_iter: int) -> None:
+    if not all(1 <= n <= len(x) for n in counts):
+        raise ValueError("n_components must lie in [1, n_samples]")
+    if covariance not in ("full", "diag"):
+        raise ValueError("covariance must be 'full' or 'diag'")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def _row_blocks(m: int, width: int):
     """Slices covering m rows, each at most _BLOCK_ELEMS // width long."""
     step = max(1, _BLOCK_ELEMS // width)
     return (slice(i, i + step) for i in range(0, m, step))
 
 
-def _log_gaussians(xt: np.ndarray, means: np.ndarray, covs: np.ndarray, cov_type: str) -> np.ndarray:
-    """(n, M) matrix of per-component log densities of the (D, M) transposed
-    data xt, all components at once."""
-    n, d = means.shape
+def _features(x: np.ndarray, cov_type: str) -> tuple[np.ndarray, np.ndarray]:
+    """The data's mean c and the E-step features of its rows x, as columns:
+    [(x - c)^2; x - c; 1] for diagonal covariances, [x - c; 1] for full."""
+    centre = x.mean(axis=0)
+    xc = (x - centre).T
+    rows = [xc * xc, xc] if cov_type == "diag" else [xc]
+    return centre, np.concatenate(rows + [np.ones((1, len(x)))])
+
+
+def _factor(covs: np.ndarray, cov_type: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per component, the precisions 1/sigma^2 (diagonal) or the inverse
+    Cholesky factor L^-1 (full, covariance L L^T), and the log-determinant
+    of the covariance. Raises _Collapse if any covariance is not positive
+    definite."""
     if cov_type == "diag":
         if np.any(covs <= 0.0):
             raise _Collapse
-        scale = np.sqrt(covs)[:, :, None]
-        logdet = np.sum(np.log(covs), axis=1)
-    else:
-        try:
-            chol = np.linalg.cholesky(covs)
-            inv = np.linalg.inv(chol)
-        except np.linalg.LinAlgError:
-            raise _Collapse from None
-        logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
-    maha = np.empty((n, xt.shape[1]))
-    for rows in _row_blocks(xt.shape[1], n * d):
-        diff = xt[None, :, rows] - means[:, :, None]
-        # Whitened differences: (x - mu) / sigma, or L^-1 (x - mu).
-        if cov_type == "diag":
-            z = np.divide(diff, scale, out=diff)
-        else:
-            z = inv @ diff
-        maha[:, rows] = np.einsum("ndm,ndm->nm", z, z)
-    return -0.5 * ((d * _LOG_2PI + logdet)[:, None] + maha)
+        return 1.0 / covs, np.sum(np.log(covs), axis=1)
+    try:
+        chol = np.linalg.cholesky(covs)
+        inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError:
+        raise _Collapse from None
+    return inv, 2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)), axis=1)
+
+
+def _log_gaussians(
+    features: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    means: np.ndarray,
+    covs: np.ndarray,
+    cov_type: str,
+) -> np.ndarray:
+    """(n, M) matrix of the weighted log densities log w + log N(x; mu, cov)
+    of every component at the M samples whose _features are given."""
+    centre, f = features
+    n, d = means.shape
+    factor, logdet = _factor(covs, cov_type)
+    mu = means - centre
+    norm = np.log(weights) - 0.5 * (d * _LOG_2PI + logdet)
+    if cov_type == "diag":
+        # -(x - mu)^2 / 2 sigma^2 expanded over the features [x^2; x; 1].
+        scaled = mu * factor
+        norm -= 0.5 * np.sum(mu * scaled, axis=1)
+        return np.concatenate([-0.5 * factor, scaled, norm[:, None]], axis=1) @ f
+    # Each component's [L^-1 | -L^-1 mu] maps [x; 1] to the whitened
+    # differences L^-1 (x - mu), whose squared norms are summed.
+    whiten = np.concatenate([factor, -(factor @ mu[:, :, None])], axis=2)
+    out = np.empty((n, f.shape[1]))
+    for rows in _row_blocks(f.shape[1], n * d):
+        z = whiten @ f[:, rows]
+        out[:, rows] = np.einsum("ndm,ndm->nm", z, z)
+    out *= -0.5
+    out += norm[:, None]
+    return out
 
 
 def _scatter(xt: np.ndarray, means: np.ndarray, resp: np.ndarray, cov_type: str) -> np.ndarray:
@@ -165,17 +224,19 @@ def _scatter(xt: np.ndarray, means: np.ndarray, resp: np.ndarray, cov_type: str)
 
 
 def _posterior(log_prob: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log(sum(exp(log_prob))) over the components (axis 0) and the
+    """log(sum(exp(log_prob))) over the components (axis -2) and the
     normalized posteriors, from one exponential of log_prob minus its
-    column maximum. A column whose maximum is not finite is shifted by 0,
-    so an all -inf column gives -inf."""
-    shift = np.max(log_prob, axis=0)
+    column maximum. The posteriors overwrite log_prob. A column whose
+    maximum is not finite is shifted by 0, so an all -inf column gives
+    -inf."""
+    shift = np.max(log_prob, axis=-2)
     shift[~np.isfinite(shift)] = 0.0
-    e = np.exp(log_prob - shift)
-    total = e.sum(axis=0)
+    e = np.exp(np.subtract(log_prob, shift[..., None, :], out=log_prob), out=log_prob)
+    total = e.sum(axis=-2)
     with np.errstate(divide="ignore"):
         log_norm = shift + np.log(total)
-    return log_norm, e / total
+    e /= total[..., None, :]
+    return log_norm, e
 
 
 def _kmeanspp_centers(x: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -197,46 +258,93 @@ def _kmeanspp_centers(x: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
 
 def _em(
     x: np.ndarray,
+    features: tuple[np.ndarray, np.ndarray],
     n_components: int,
-    seed: int,
+    seeds,
     cov_type: str,
     max_iter: int,
     tol: float,
     reg: float,
-) -> GmmModel:
+) -> list:
+    """EM from the k-means++ seeding of each seed, all restarts advanced
+    together as one stack of components: the n components of the i-th live
+    restart are stack rows i*n to (i+1)*n. Returns one GmmModel per seed,
+    or None where that restart's covariance collapsed."""
     m, d = x.shape
-    rng = np.random.default_rng(seed)
-    means = _kmeanspp_centers(x, n_components, rng)
+    n = n_components
+    means = np.concatenate([_kmeanspp_centers(x, n, np.random.default_rng(s)) for s in seeds])
     global_cov = np.cov(x, rowvar=False, ddof=0).reshape(d, d)
     if cov_type == "diag":
-        covs = np.tile(np.maximum(np.diag(global_cov), _WEIGHT_FLOOR) + reg, (n_components, 1))
+        start = np.maximum(np.diag(global_cov), _WEIGHT_FLOOR) + reg
     else:
-        covs = np.tile(global_cov + reg * np.eye(d), (n_components, 1, 1))
-    weights = np.full(n_components, 1.0 / n_components)
+        start = global_cov + reg * np.eye(d)
+    covs = np.repeat(start[None], len(means), axis=0)
+    weights = np.full(len(means), 1.0 / n)
 
     xt = np.ascontiguousarray(x.T)
-    path = []
-    prev = -np.inf
-    for it in range(max_iter):
-        log_prob = _log_gaussians(xt, means, covs, cov_type) + np.log(weights)[:, None]
-        log_norm, resp = _posterior(log_prob)
-        ll = float(np.sum(log_norm))
-        path.append(ll)
+    fits = [None] * len(seeds)
+    paths = [[] for _ in seeds]
+    live = np.arange(len(seeds))
+    prev = np.full(len(seeds), -np.inf)
 
-        # No M-step after the last E-step, so path[-1] is the returned
-        # parameters' own log-likelihood.
-        converged = prev > -np.inf and ll - prev <= tol * abs(prev)
-        if converged or it == max_iter - 1:
+    def keep(mask, *stacks):
+        """The live restarts where mask holds, and those rows of each stack."""
+        rows = np.repeat(mask, n)
+        return (live[mask], prev[mask]) + tuple(a[rows] for a in stacks)
+
+    for it in range(max_iter):
+        try:
+            log_prob = _log_gaussians(features, weights, means, covs, cov_type)
+        except _Collapse:
+            ok = np.ones(len(live), dtype=bool)
+            for i in range(len(live)):
+                try:
+                    _factor(covs[i * n : (i + 1) * n], cov_type)
+                except _Collapse:
+                    ok[i] = False
+            live, prev, weights, means, covs = keep(ok, weights, means, covs)
+            if not len(live):
+                break
+            log_prob = _log_gaussians(features, weights, means, covs, cov_type)
+        log_norm, resp = _posterior(log_prob.reshape(len(live), n, m))
+        ll = log_norm.sum(axis=1)
+        for restart, value in zip(live, ll.tolist()):
+            paths[restart].append(value)
+
+        # A restart leaves with the parameters of its last E-step, so
+        # path[-1] is the returned parameters' own log-likelihood.
+        converged = (prev > -np.inf) & (ll - prev <= tol * np.abs(prev))
+        leaving = converged if it < max_iter - 1 else np.ones(len(live), dtype=bool)
+        for i in np.flatnonzero(leaving):
+            rows = slice(i * n, (i + 1) * n)
+            path = paths[live[i]]
+            fits[live[i]] = GmmModel(
+                n_components=n,
+                weights=weights[rows].copy(),
+                means=means[rows].copy(),
+                covariances=covs[rows].copy(),
+                covariance_type=cov_type,
+                log_likelihood=path[-1],
+                log_likelihood_path=np.asarray(path),
+                converged=bool(converged[i]),
+            )
+        if leaving.all():
             break
         prev = ll
+        resp = resp.reshape(-1, m)
+        if leaving.any():
+            live, prev, resp = keep(~leaving, resp)
 
         # A posterior below the smallest normal double cannot change the
         # M-step sums it enters (each is at least _WEIGHT_FLOOR * m), while
         # arithmetic on subnormal doubles runs 10-100x slower.
         resp[resp < _TINY] = 0.0
         counts = resp.sum(axis=1)
-        if np.any(counts < _WEIGHT_FLOOR * m):
-            raise _Collapse
+        starved = np.any((counts < _WEIGHT_FLOOR * m).reshape(-1, n), axis=1)
+        if starved.any():
+            live, prev, resp, counts = keep(~starved, resp, counts)
+            if not len(live):
+                break
         weights = counts / m
         means = (resp @ x) / counts[:, None]
         scatter = _scatter(xt, means, resp, cov_type)
@@ -245,17 +353,32 @@ def _em(
         else:
             cov = scatter / counts[:, None, None]
             covs = 0.5 * (cov + np.swapaxes(cov, 1, 2)) + reg * np.eye(d)
+    return fits
 
-    return GmmModel(
-        n_components=n_components,
-        weights=weights,
-        means=means,
-        covariances=covs,
-        covariance_type=cov_type,
-        log_likelihood=path[-1],
-        log_likelihood_path=np.asarray(path),
-        converged=converged,
-    )
+
+def _regularization(x: np.ndarray) -> float:
+    """Diagonal added on the retry: 1e-6 of the mean data variance."""
+    reg = _REG_FACTOR * float(np.mean(np.var(x, axis=0)))
+    return reg if reg > 0.0 else _REG_FACTOR
+
+
+def _fit_restarts(
+    x: np.ndarray,
+    features: tuple[np.ndarray, np.ndarray],
+    n_components: int,
+    seeds,
+    cov_type: str,
+    max_iter: int,
+    tol: float,
+) -> list:
+    """_em of every seed; the restarts that collapse are retried as one
+    stack at the regularized diagonal, and None marks a second collapse."""
+    fits = _em(x, features, n_components, seeds, cov_type, max_iter, tol, reg=0.0)
+    retry = [seed for seed, fit in zip(seeds, fits) if fit is None]
+    if retry:
+        again = iter(_em(x, features, n_components, retry, cov_type, max_iter, tol, reg=_regularization(x)))
+        fits = [next(again) if fit is None else fit for fit in fits]
+    return fits
 
 
 def gmm_fit(
@@ -274,27 +397,14 @@ def gmm_fit(
     failure raises CovarianceCollapseError.
     """
     x = _check_data(data)
-    if not 1 <= n_components <= len(x):
-        raise ValueError("n_components must lie in [1, n_samples]")
-    if covariance not in ("full", "diag"):
-        raise ValueError("covariance must be 'full' or 'diag'")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-
-    try:
-        return _em(x, n_components, seed, covariance, max_iter, tol, reg=0.0)
-    except _Collapse:
-        pass
-    reg = _REG_FACTOR * float(np.mean(np.var(x, axis=0)))
-    if reg <= 0.0:
-        reg = _REG_FACTOR
-    try:
-        return _em(x, n_components, seed, covariance, max_iter, tol, reg=reg)
-    except _Collapse:
+    _check_fit(x, [n_components], covariance, max_iter)
+    model = _fit_restarts(x, _features(x, covariance), n_components, [seed], covariance, max_iter, tol)[0]
+    if model is None:
         raise CovarianceCollapseError(
             f"covariance collapsed for n_components={n_components} even after "
-            f"diagonal regularization {reg:g}"
-        ) from None
+            f"diagonal regularization {_regularization(x):g}"
+        )
+    return model
 
 
 def _n_parameters(model: GmmModel) -> int:
@@ -304,27 +414,37 @@ def _n_parameters(model: GmmModel) -> int:
     return (n - 1) + n * d + n * d * (d + 1) // 2
 
 
-def _model_posterior(model: GmmModel, data) -> tuple[np.ndarray, np.ndarray]:
-    """_posterior of the model's weighted component log densities at the
-    checked data: per-sample log-likelihoods and (n, M) posteriors."""
+def _model_features(model: GmmModel, data) -> tuple[np.ndarray, np.ndarray]:
+    """_features of the checked data, for the model's covariance type."""
     x = _check_data(data)
     if x.shape[1] != model.dim:
         raise DimensionMismatchError(
             f"data width {x.shape[1]} does not match model dimension {model.dim}"
         )
-    log_prob = _log_gaussians(x.T, model.means, model.covariances, model.covariance_type)
-    return _posterior(log_prob + np.log(model.weights)[:, None])
+    return _features(x, model.covariance_type)
+
+
+def _model_posterior(model: GmmModel, features) -> tuple[np.ndarray, np.ndarray]:
+    """_posterior of the model's weighted component log densities:
+    per-sample log-likelihoods and (n, M) posteriors."""
+    return _posterior(
+        _log_gaussians(features, model.weights, model.means, model.covariances, model.covariance_type)
+    )
+
+
+def _bic(model: GmmModel, features) -> float:
+    log_norm = _model_posterior(model, features)[0]
+    return _n_parameters(model) * math.log(len(log_norm)) - 2.0 * float(np.sum(log_norm))
 
 
 def bic(model: GmmModel, data) -> float:
     """Bayesian information criterion p*ln(M) - 2*logL on the given data."""
-    log_norm = _model_posterior(model, data)[0]
-    return _n_parameters(model) * math.log(len(log_norm)) - 2.0 * float(np.sum(log_norm))
+    return _bic(model, _model_features(model, data))
 
 
 def responsibilities(model: GmmModel, data) -> np.ndarray:
     """Posterior component probabilities, one row per sample (rows sum to 1)."""
-    return _model_posterior(model, data)[1].T
+    return _model_posterior(model, _model_features(model, data))[1].T
 
 
 def assign_spatial_clusters(model: GmmModel, features) -> np.ndarray:
@@ -352,10 +472,12 @@ def select_n_clusters(
     """Pick the component count minimizing BIC.
 
     Each candidate is fit from seeds_per_candidate k-means++ seedings and
-    the best likelihood kept. Candidates whose fits all fail are skipped
-    with a warning. Ties resolve to the smaller count. The candidate x seed
-    fits run on a pool of `workers` threads and are merged in candidate
-    then seed order, so the result does not depend on the worker count.
+    the best likelihood kept; likelihoods within 1e-12 relative of each
+    other tie, and a tie keeps the earlier seed. Candidates whose fits all
+    fail are skipped with a warning. Ties resolve to the smaller count.
+    Each candidate's seeds are fit as one stack, one job per candidate on a
+    pool of `workers` threads, and merged in candidate then seed order, so
+    the result does not depend on the worker count.
     """
     x = _check_data(data)
     candidates = sorted(set(int(n) for n in candidates))
@@ -363,35 +485,30 @@ def select_n_clusters(
         raise ValueError("candidates must be non-empty")
     if seeds_per_candidate < 1:
         raise ValueError("seeds_per_candidate must be >= 1")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_fit(x, candidates, covariance, max_iter)
 
-    def fit(job):
-        n, seed = job
-        try:
-            return gmm_fit(x, n, seed=seed, covariance=covariance, max_iter=max_iter, tol=tol)
-        except CovarianceCollapseError:
-            return None
+    features = _features(x, covariance)
 
-    jobs = [
-        (n, base_seed + pos * seeds_per_candidate + s)
-        for pos, n in enumerate(candidates)
-        for s in range(seeds_per_candidate)
-    ]
+    def fit(pos):
+        seeds = [base_seed + pos * seeds_per_candidate + s for s in range(seeds_per_candidate)]
+        return _fit_restarts(x, features, candidates[pos], seeds, covariance, max_iter, tol)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        fits = list(pool.map(fit, jobs))
+        fits = list(pool.map(fit, range(len(candidates))))
 
     curve = []
     best = None
-    for pos, n in enumerate(candidates):
+    for n, restarts in zip(candidates, fits):
         model = None
-        for cand in fits[pos * seeds_per_candidate : (pos + 1) * seeds_per_candidate]:
-            if cand is not None and (model is None or cand.log_likelihood > model.log_likelihood):
+        for cand in restarts:
+            if cand is not None and (
+                model is None or cand.log_likelihood > model.log_likelihood + _LL_TIE * abs(model.log_likelihood)
+            ):
                 model = cand
         if model is None:
             warnings.warn(f"all fits failed for n_components={n}; candidate skipped")
             continue
-        score = bic(model, x)
+        score = _bic(model, features)
         curve.append((n, score))
         if best is None or score < best[1]:
             best = (n, score, model)

@@ -187,8 +187,10 @@ def dmax_from_threshold(epsilon: float, rho_bar: float, catalog_size: int, rank:
 
     Returns +inf when epsilon >= rho_bar (the criterion holds for any d).
     """
-    if not epsilon > 0.0 or not rho_bar > 0.0:
-        raise ValueError("epsilon and rho_bar must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if not 0.0 < rho_bar < math.inf:
+        raise ValueError(f"rho_bar must be positive and finite, got {rho_bar}")
     if catalog_size < 2:
         raise ValueError("catalog_size must be >= 2")
     if not 1 <= rank <= catalog_size:

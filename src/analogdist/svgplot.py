@@ -200,7 +200,7 @@ def line_plot(
     for i, (label, points) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
         dash = ' stroke-dasharray="6,4"' if label in dashed else ""
-        coords = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in points)
+        coords = " ".join(["%.2f,%.2f" % (px(a), py(b)) for a, b in points])
         out.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
         )

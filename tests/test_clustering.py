@@ -1,6 +1,7 @@
 """EM mixture fits against closed-form single-component statistics, scipy
 log-density oracles, and BIC selection on well-separated blobs."""
 
+import dataclasses
 import json
 import math
 
@@ -204,19 +205,17 @@ def test_constant_data_fits_with_regularization():
     assert model.weights.sum() == pytest.approx(1.0, rel=1e-12)
 
 
-def test_collapse_raises_after_retry(monkeypatch):
-    def always_collapse(*args, **kwargs):
-        raise clustering._Collapse
+def always_collapse(x, features, n, seeds, *args, **kwargs):
+    return [None] * len(seeds)
 
+
+def test_collapse_raises_after_retry(monkeypatch):
     monkeypatch.setattr(clustering, "_em", always_collapse)
     with pytest.raises(CovarianceCollapseError, match="regularization"):
         gmm_fit(np.random.default_rng(0).normal(size=(50, 2)), 2)
 
 
 def test_select_raises_when_every_candidate_fails(monkeypatch):
-    def always_collapse(*args, **kwargs):
-        raise clustering._Collapse
-
     monkeypatch.setattr(clustering, "_em", always_collapse)
     with pytest.raises(CovarianceCollapseError), pytest.warns(UserWarning):
         select_n_clusters(np.random.default_rng(0).normal(size=(50, 2)), (2, 3))
@@ -282,6 +281,12 @@ def reference_log_gaussians(x, means, covs, cov_type):
     return out
 
 
+def log_gaussians(x, means, covs, cov_type):
+    """The kernel's (n, M) unweighted log densities of the rows of x."""
+    features = clustering._features(x, cov_type)
+    return clustering._log_gaussians(features, np.ones(len(means)), means, covs, cov_type)
+
+
 def random_components(rng, n, d, cov_type, scale=1.0):
     means = rng.normal(scale=3.0, size=(n, d))
     if cov_type == "diag":
@@ -297,7 +302,7 @@ def test_batched_log_densities_match_per_component_reference(cov_type, m, d, n):
     means, covs = random_components(rng, n, d, cov_type)
     x = 3.0 * rng.normal(size=(m, d))
     expected = reference_log_gaussians(x, means, covs, cov_type)
-    got = clustering._log_gaussians(np.ascontiguousarray(x.T), means, covs, cov_type)
+    got = log_gaussians(x, means, covs, cov_type)
     assert got.shape == (n, m)
     assert_allclose(got.T, expected, rtol=1e-10, atol=0)
 
@@ -312,7 +317,7 @@ def test_log_densities_far_from_the_origin(cov_type):
     x = 3.0 * rng.normal(size=(400, 6))
     expected = reference_log_gaussians(x, means, covs, cov_type)
     offset = 1e3
-    got = clustering._log_gaussians(np.ascontiguousarray((x + offset).T), means + offset, covs, cov_type)
+    got = log_gaussians(x + offset, means + offset, covs, cov_type)
     assert_allclose(got.T, expected, rtol=0, atol=1e-8)
 
 
@@ -320,10 +325,10 @@ def test_log_densities_far_from_the_origin(cov_type):
 def test_row_blocks_do_not_change_log_densities(monkeypatch, cov_type):
     rng = np.random.default_rng(4)
     means, covs = random_components(rng, 3, 5, cov_type)
-    xt = rng.normal(size=(5, 401))
-    whole = clustering._log_gaussians(xt, means, covs, cov_type)
+    x = rng.normal(size=(401, 5))
+    whole = log_gaussians(x, means, covs, cov_type)
     monkeypatch.setattr(clustering, "_BLOCK_ELEMS", 3 * 5 * 17)
-    assert_array_equal(clustering._log_gaussians(xt, means, covs, cov_type), whole)
+    assert_array_equal(log_gaussians(x, means, covs, cov_type), whole)
 
 
 def test_posterior_matches_scipy_logsumexp():
@@ -354,11 +359,11 @@ def test_one_singular_full_covariance_collapses_whole_batch():
     means, covs = random_components(rng, 3, 2, "full")
     covs[1] = [[1.0, 1.0], [1.0, 1.0]]
     with pytest.raises(clustering._Collapse):
-        clustering._log_gaussians(rng.normal(size=(2, 20)), means, covs, "full")
+        log_gaussians(rng.normal(size=(20, 2)), means, covs, "full")
     diag_means, diag_covs = random_components(rng, 3, 2, "diag")
     diag_covs[2, 0] = 0.0
     with pytest.raises(clustering._Collapse):
-        clustering._log_gaussians(rng.normal(size=(2, 20)), diag_means, diag_covs, "diag")
+        log_gaussians(rng.normal(size=(20, 2)), diag_means, diag_covs, "diag")
 
 
 def test_fit_with_one_singular_component_takes_regularized_retry(monkeypatch):
@@ -375,8 +380,7 @@ def test_fit_with_one_singular_component_takes_regularized_retry(monkeypatch):
         return em(*args, reg=reg, **kwargs)
 
     monkeypatch.setattr(clustering, "_em", recording_em)
-    with pytest.raises(clustering._Collapse):
-        em(x, 3, 0, "full", 500, 1e-6, reg=0.0)
+    assert em(x, clustering._features(x, "full"), 3, [0], "full", 500, 1e-6, reg=0.0) == [None]
     model = gmm_fit(x, 3, seed=0)
     assert regs[0] == 0.0 and len(regs) == 2 and regs[1] > 0.0
     on_line = np.argmin(np.abs(model.means[:, 1] - 40.0))
@@ -399,15 +403,33 @@ def test_selection_does_not_depend_on_worker_count(cov_type):
     assert pooled.best_model.to_json() == serial.best_model.to_json()
 
 
+@pytest.mark.parametrize("gain,kept", [(0.0, 0), (1e-14, 0), (1e-9, 1)])
+def test_later_seed_must_beat_the_kept_fit_by_more_than_rounding(monkeypatch, gain, kept):
+    # Restarts that reach one optimum in another component order differ in
+    # the last bits of their log-likelihoods; the earlier seed stays.
+    fit = clustering._fit_restarts
+    fits = []
+
+    def later_seed_gains(x, features, n, seeds, *args):
+        first = fit(x, features, n, seeds[:1], *args)[0]
+        higher = first.log_likelihood + gain * abs(first.log_likelihood)
+        fits.extend([first, dataclasses.replace(first, log_likelihood=higher)])
+        return fits
+
+    monkeypatch.setattr(clustering, "_fit_restarts", later_seed_gains)
+    result = select_n_clusters(blobs([(-8.0, 0.0), (8.0, 0.0)], 60, 1.0, seed=2), (2,), seeds_per_candidate=2)
+    assert result.best_model is fits[kept]
+
+
 def test_skipped_candidates_warn_in_candidate_order(monkeypatch):
-    gmm = clustering.gmm_fit
+    fit = clustering._fit_restarts
 
-    def collapse_above_two(x, n, **kwargs):
+    def collapse_above_two(x, features, n, seeds, *args):
         if n > 2:
-            raise CovarianceCollapseError("collapsed")
-        return gmm(x, n, **kwargs)
+            return [None] * len(seeds)
+        return fit(x, features, n, seeds, *args)
 
-    monkeypatch.setattr(clustering, "gmm_fit", collapse_above_two)
+    monkeypatch.setattr(clustering, "_fit_restarts", collapse_above_two)
     data = blobs([(-8.0, 0.0), (8.0, 0.0)], 60, 1.0, seed=2)
     with pytest.warns(UserWarning) as record:
         result = select_n_clusters(data, (5, 1, 4, 2, 3), seeds_per_candidate=2, workers=2)
@@ -415,3 +437,69 @@ def test_skipped_candidates_warn_in_candidate_order(monkeypatch):
         f"all fits failed for n_components={n}; candidate skipped" for n in (3, 4, 5)
     ]
     assert [n for n, _ in result.bic_curve] == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# restarts advanced as one stack
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_restart_of_a_stack_matches_its_own_fit(cov_type, n):
+    data = blobs([(-6.0, 0.0, 1.0), (6.0, 0.0, 0.0), (0.0, 7.0, -2.0)], 120, 1.0, seed=21)
+    seeds = list(range(6))
+    fits = clustering._fit_restarts(
+        data, clustering._features(data, cov_type), n, seeds, cov_type, 500, 1e-6
+    )
+    # Restarts that converge at different iterations leave the stack early.
+    assert len({len(fit.log_likelihood_path) for fit in fits}) > 1
+    for seed, fit in zip(seeds, fits):
+        alone = gmm_fit(data, n, seed=seed, covariance=cov_type)
+        assert len(fit.log_likelihood_path) == len(alone.log_likelihood_path)
+        assert fit.converged == alone.converged
+        assert_allclose(fit.log_likelihood_path, alone.log_likelihood_path, rtol=1e-10, atol=0)
+        assert fit.log_likelihood == fit.log_likelihood_path[-1]
+
+
+def line_data():
+    """Two round blobs and 60 points lying exactly on a horizontal line."""
+    rng = np.random.default_rng(6)
+    line = np.column_stack([rng.normal(size=60), np.full(60, 40.0)])
+    return np.concatenate([blobs([(-10.0, 0.0), (10.0, 0.0)], 80, 1.0, seed=6), line])
+
+
+def test_only_the_collapsed_restarts_take_the_regularized_retry(monkeypatch):
+    x = line_data()
+    features = clustering._features(x, "diag")
+    seeds = [0, 1, 2, 3]
+    em = clustering._em
+    collapsed = [s for s in seeds if em(x, features, 2, [s], "diag", 500, 1e-6, reg=0.0) == [None]]
+    assert 0 < len(collapsed) < len(seeds)
+    calls = []
+
+    def recording_em(x, features, n, seeds, *args, reg, **kwargs):
+        calls.append((list(seeds), reg))
+        return em(x, features, n, seeds, *args, reg=reg, **kwargs)
+
+    monkeypatch.setattr(clustering, "_em", recording_em)
+    fits = clustering._fit_restarts(x, features, 2, seeds, "diag", 500, 1e-6)
+    assert calls == [(seeds, 0.0), (collapsed, clustering._regularization(x))]
+    for seed, fit in zip(seeds, fits):
+        alone = gmm_fit(x, 2, seed=seed, covariance="diag")
+        assert len(fit.log_likelihood_path) == len(alone.log_likelihood_path)
+        assert_allclose(fit.log_likelihood_path, alone.log_likelihood_path, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("cov_type", ["full", "diag"])
+def test_tight_distant_component_keeps_its_covariance(cov_type):
+    # A one-pass scatter, sum r x x^T / n - mu mu^T, cancels terms near 1e6
+    # down to variances near 1e-6; the two-pass scatter about the mean does not.
+    rng = np.random.default_rng(30)
+    tight = 1e3 + 1e-3 * rng.normal(size=(300, 3)) @ [[1.0, 0.5, 0.0], [0.0, 1.0, 0.3], [0.0, 0.0, 1.0]]
+    x = np.concatenate([rng.normal(size=(300, 3)), tight])
+    model = gmm_fit(x, 2, seed=0, covariance=cov_type)
+    far = np.argmax(model.means[:, 0])
+    expected = np.cov(tight, rowvar=False, ddof=0)
+    if cov_type == "diag":
+        expected = np.diag(expected)
+    assert_allclose(model.covariances[far], expected, rtol=1e-8, atol=0)

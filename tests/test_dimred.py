@@ -288,6 +288,16 @@ def test_dmax_threshold_validation(args):
         dmax_from_threshold(*args)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("name", ["epsilon", "rho_bar"])
+def test_dmax_threshold_rejects_non_finite_tolerance(name, value):
+    # An infinite epsilon would give an infinite budget, an infinite rho_bar
+    # a zero one.
+    settings = {"epsilon": 0.4, "rho_bar": 0.55, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+        dmax_from_threshold(settings["epsilon"], settings["rho_bar"], 100, 1)
+
+
 # ---------------------------------------------------------------------------
 # criterion_scan
 

@@ -13,6 +13,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,13 +215,13 @@ GOLDEN = {
             "assignments.csv":
                 "97c76ceec3548a95ab6279440faca573c735eb759a796b95108808755a93239f",
             "bic.csv":
-                "b5ab0e7eee5789924c9c5e10cb9e66648ac4ea7ab01ccadfb148d0b7a5d37c71",
+                "be688daee39fae4a5a8deaecc33e8cb8e4acf2dc9297522f4cdaed764da7bc20",
             "bic.svg":
                 "f354ef418257098258e888604c34df5c7bd9a2ce5eb9f243f9a8593817149143",
             "eof.csv":
                 "49f279cf97753d387929d8ca802916491d3c76b2e72e15d0dcddbb7afffbc98e",
             "model.json":
-                "7f0c9a72b3563c57258a82682311c358fd4b8e9021f100713a532e42de02840b",
+                "2220bdbf198325aa6e63847280754cedf75f124c768f582bdb82f2a0efb28cb0",
         },
         "stdout_sha256": "1c55922b1e790d4eb61d7e77560c1cf4d8b1a140ee0c5bfd467a418105ec596d",
     },
@@ -234,13 +236,13 @@ GOLDEN = {
             "assignments.csv":
                 "4a23627099927e60c1611717d66a7bf77f9f1b061145aba46cd839a39d72005e",
             "bic.csv":
-                "b925078284adac90d594eb742fc9e27412d817f86d842601fb02ff8ac96dae87",
+                "24e518de42b713e645678f45d5bc1858298ace2a92a612a4a2bf8803cd3ad5c1",
             "bic.svg":
                 "49e2016a6085dea1333570ba6ef707ae37300ee9042583fedf27cde7e5b8a723",
             "eof.csv":
                 "49f279cf97753d387929d8ca802916491d3c76b2e72e15d0dcddbb7afffbc98e",
             "model.json":
-                "e750c73aed64e991ee70ca38e3103d1a57d4b251fbbb3d375e362c250b8135e9",
+                "549bd84d409b26fa01be487f211d03207b07803a0e7723441a8160037a853229",
         },
         "stdout_sha256": "7c68b29ea4eba704b35576867f30a84aaa3f3c0f1c367653cd3c170022ed7c07",
     },
@@ -340,12 +342,31 @@ def golden_run(tmp_path_factory):
     return run_steps(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("name", [step[0] for step in STEPS])
-def test_golden_outputs(golden_run, name):
-    got = golden_run[name]
-    want = GOLDEN[name]
+def check_step(got, want):
     assert got["exit"] == 0
     for key in ("command", "parameters", "seeds", "outputs"):
         assert got[key] == want[key], key
     assert got["files"] == want["outputs"]
     assert got["stdout_sha256"] == want["stdout_sha256"]
+
+
+@pytest.mark.parametrize("name", [step[0] for step in STEPS])
+def test_golden_outputs(golden_run, name):
+    check_step(golden_run[name], GOLDEN[name])
+
+
+def test_golden_outputs_at_two_blas_threads_and_two_workers(tmp_path):
+    # OpenBLAS reads its thread count once, when numpy loads, so the steps
+    # run again in a fresh interpreter, against the same recorded digests.
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "2", "ANALOG_DIST_THREADS": "2"}
+    script = "import json, sys, test_golden; print(json.dumps(test_golden.run_steps(sys.argv[1])))"
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout.splitlines()[-1])
+    assert list(results) == [step[0] for step in STEPS]
+    for name, got in results.items():
+        check_step(got, GOLDEN[name])
