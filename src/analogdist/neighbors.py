@@ -9,19 +9,21 @@ The backends only nominate candidates; one exact tail then computes the
 candidates' distances, cuts at the m-th with its ties and orders by
 (distance, index), so the two agree bitwise with each other and with a
 full scan. The exhaustive scan nominates from the norm form
-|x|^2 + |z|^2 - 2 x.z (one matrix-vector product per query against cached
-row norms), widened by a bound on its rounding error: a row is nominated
-unless its lower bound exceeds the m-th smallest upper bound, the exact-kNN
-scheme of Johnson, Douze & Jegou (arXiv:1702.08734). Where that bound is
-not finite it nominates every row. The k-d tree asks for one neighbour
-more than needed and nominates its first m, or the ball just beyond its
-m-th distance when that extra neighbour may tie with the cut. Radius
-queries scan every row exactly on either backend.
+|x|^2 + |z|^2 - 2 x.z (one matrix product per block of targets against
+cached row norms; a query is a block of one, and row_distances blocks its
+rows so the (rows, L) form holds at most _BLOCK_ELEMS doubles), widened by
+a bound on its rounding error: a row is nominated unless its lower bound
+exceeds the m-th smallest upper bound, the exact-kNN scheme of Johnson,
+Douze & Jegou (arXiv:1702.08734). The bound holds for any summation
+order, so the bytes do not depend on the block or the BLAS threads. Where
+that bound is not finite it nominates every row. The k-d tree asks for one
+neighbour more than needed and nominates its first m, or the ball just
+beyond its m-th distance when that extra neighbour may tie with the cut.
+Radius queries scan every row exactly on either backend.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,9 @@ KDTREE_MAX_DIM = 20
 _KDTREE_MIN_ROWS = 256
 _EPS = float(np.finfo(np.float64).eps)
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+# The exhaustive row path's (rows, L) norm-form block holds at most this
+# many doubles (4 MB: 52 target rows against a 10000-row catalog).
+_BLOCK_ELEMS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -119,14 +124,15 @@ class NeighborIndex:
         diff = self.catalog.states[idx] - z
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
-    def _preselect(self, z: np.ndarray, m: int) -> np.ndarray | slice:
-        """Rows that may lie among the m nearest: every row, as slice(None)
-        so the scan copies no state, when m >= L or the norm-form bounds are
-        not finite.
+    def _preselect(self, Z: np.ndarray, m: int) -> list:
+        """For each row z of the (b, D) block Z, the catalog rows that may
+        lie among z's m nearest: every row, as slice(None) so the scan
+        copies no state, when m >= L or z's norm-form bounds are not finite.
 
-        With h = max |x|^2 + |z|^2, the norm form |x|^2 + |z|^2 - 2 x.z and
-        the exact square sum((x - z)**2) of any row, both as computed, differ
-        by at most (4D + 8) u h (u = eps/2, any summation order), plus 2D
+        One product Z @ states.T gives every norm form of the block. With
+        h = max |x|^2 + |z|^2, the norm form |x|^2 + |z|^2 - 2 x.z and the
+        exact square sum((x - z)**2) of any row, both as computed, differ by
+        at most (4D + 8) u h (u = eps/2, any summation order), plus 2D
         smallest subnormals where products underflow. The margin is twice
         that. At least m rows have an exact square no larger than thr, the
         m-th smallest upper bound (norm form + margin), so every row of the
@@ -135,15 +141,37 @@ class NeighborIndex:
         form - margin) exceeds that; the 8 eps slack also covers rounding
         the limit.
         """
-        zz = float(np.einsum("i,i->", z, z))
-        h = self._max_sqnorm + zz
-        # |norm form| <= 2h, so nothing below overflows when 4h is finite.
-        if m >= self.catalog.length or not math.isfinite(4.0 * h):
-            return slice(None)
-        margin = 4.0 * (self.catalog.dim + 4) * (_EPS * h + _SUBNORMAL)
-        form = self._sqnorms - 2.0 * (self.catalog.states @ z) + zz
-        limit = (np.partition(form, m - 1)[m - 1] + 2.0 * margin) * (1.0 + 8.0 * _EPS)
-        return np.flatnonzero(form <= limit)
+        zz = np.einsum("ij,ij->i", Z, Z)
+        with np.errstate(over="ignore"):
+            h = self._max_sqnorm + zz
+            # |norm form| <= 2h, so nothing below overflows when 4h is finite.
+            bounded = np.isfinite(4.0 * h)
+        sel = [slice(None)] * len(Z)
+        rows = np.flatnonzero(bounded) if m < self.catalog.length else []
+        if len(rows) == 0:
+            return sel
+        margin = 4.0 * (self.catalog.dim + 4) * (_EPS * h[rows] + _SUBNORMAL)
+        form = Z[rows] @ self.catalog.states.T
+        form *= -2.0
+        form += self._sqnorms
+        form += zz[rows, None]
+        for j, f, pad in zip(rows, form, 2.0 * margin):
+            limit = (np.partition(f, m - 1)[m - 1] + pad) * (1.0 + 8.0 * _EPS)
+            sel[j] = np.flatnonzero(f <= limit)
+        return sel
+
+    def _exact_prefix(self, z: np.ndarray, sel, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and distances of the m nearest of the nominated rows sel
+        and their ties at the m-th distance, ordered by (distance, index)."""
+        dist = self._exact_distances(z, sel)
+        if isinstance(sel, slice):
+            sel = np.arange(self.catalog.length)
+        if len(sel) > m:
+            # Extend across ties at the cut so index order stays exact.
+            keep = dist <= np.partition(dist, m - 1)[m - 1]
+            sel, dist = sel[keep], dist[keep]
+        order = np.lexsort((sel, dist))
+        return sel[order], dist[order]
 
     def _candidates_prefix(self, z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Indices and distances of the m nearest rows and their ties at the
@@ -151,7 +179,7 @@ class NeighborIndex:
         L = self.catalog.length
         m = min(m, L)
         if self._tree is None:
-            sel = self._preselect(z, m)
+            sel = self._preselect(z[None], m)[0]
         else:
             # One neighbour more than needed shows whether a row outside the
             # tree's m can tie with the cut. The tree's m-th distance lies a
@@ -163,15 +191,7 @@ class NeighborIndex:
                 sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
             else:
                 sel = np.atleast_1d(np.asarray(idx, dtype=np.int64))[:m]
-        dist = self._exact_distances(z, sel)
-        if isinstance(sel, slice):
-            sel = np.arange(L)
-        if len(sel) > m:
-            # Extend across ties at the cut so index order stays exact.
-            keep = dist <= np.partition(dist, m - 1)[m - 1]
-            sel, dist = sel[keep], dist[keep]
-        order = np.lexsort((sel, dist))
-        return sel[order], dist[order]
+        return self._exact_prefix(z, sel, m)
 
     def query(
         self,
@@ -205,16 +225,36 @@ class NeighborIndex:
         """(len(rows), n_analogs) distances from each catalog row to its
         nearest rows at least gap away in time. Gap 0 acts as gap 1: the
         row's own time is always dropped, so the row never counts and an
-        exact duplicate at another time does."""
+        exact duplicate at another time does.
+
+        The exhaustive backend nominates for a block of rows at once (see
+        _preselect); the k-d tree answers one query per row. Both give the
+        bytes of stacked query calls."""
         if n_analogs < 1:
             raise ValueError("n_analogs must be >= 1")
         if gap < 0:
             raise ValueError("gap must be >= 0")
-        policy = ExclusionPolicy(min_target_gap=max(gap, 1))
+        gap = max(gap, 1)
+        states, times = self.catalog.states, self.catalog.times
+        rows = np.asarray(rows)
         out = np.empty((len(rows), n_analogs))
-        for j, row in enumerate(rows):
-            z, t = self.catalog.states[row], int(self.catalog.times[row])
-            out[j] = self.query(z, n_analogs, policy, target_time=t).distances
+        if self._tree is not None:
+            policy = ExclusionPolicy(min_target_gap=gap)
+            for j, row in enumerate(rows):
+                out[j] = self.query(states[row], n_analogs, policy, target_time=int(times[row])).distances
+            return out
+        # As in query: the prefix holds the n_analogs nearest admissible rows.
+        m = min(n_analogs + 2 * gap - 1, self.catalog.length)
+        step = max(1, _BLOCK_ELEMS // self.catalog.length)
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            Z = states[block]
+            for j, (row, sel) in enumerate(zip(block, self._preselect(Z, m)), start):
+                idx, dist = self._exact_prefix(states[row], sel, m)
+                dist = dist[np.abs(times[idx] - times[row]) >= gap]
+                if len(dist) < n_analogs:
+                    raise NotEnoughAnalogsError(n_analogs, len(dist))
+                out[j] = dist[:n_analogs]
         return out
 
     def query_radius(

@@ -61,11 +61,16 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if not hi > lo:
         return [lo]
     step = _nice_step((hi - lo) / max(target, 1))
+    # A span of a few ulps has no step that doubles can add: label its ends.
+    if step < math.ulp(max(abs(lo), abs(hi))):
+        return [lo, hi]
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     value = first
     while value <= hi + step * 1e-9:
         ticks.append(0.0 if abs(value) < step * 1e-9 else value)
+        if value + step == value:
+            return [lo, hi]
         value += step
     return ticks
 

@@ -117,8 +117,7 @@ print(out.hexdigest())
 """
 
 
-@pytest.mark.parametrize("width", [64, 128])
-def test_eof_bytes_do_not_depend_on_blas_threads(width):
+def _digests_at_blas_threads(probe: str, *args: str) -> list[str]:
     # OpenBLAS reads its thread count once, when numpy loads, so each count
     # needs a fresh interpreter.
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -127,11 +126,38 @@ def test_eof_bytes_do_not_depend_on_blas_threads(width):
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
         run = subprocess.run(
-            [sys.executable, "-c", _THREAD_PROBE, str(width)],
+            [sys.executable, "-c", probe, *args],
             env=env, capture_output=True, text=True,
         )
         assert run.returncode == 0, run.stderr
         digests.append(run.stdout.strip())
+    return digests
+
+
+@pytest.mark.parametrize("width", [64, 128])
+def test_eof_bytes_do_not_depend_on_blas_threads(width):
+    digests = _digests_at_blas_threads(_THREAD_PROBE, str(width))
+    assert digests[0] == digests[1]
+
+
+# The wind workload's search: 128-wide states, K = 40 and a 36-hour gap, on
+# the exhaustive backend, whose norm forms come from one matrix product per
+# block of targets.
+_ROW_DISTANCE_PROBE = """
+import hashlib
+import numpy as np
+from analogdist.neighbors import NeighborIndex
+from analogdist.surrogate import traveling_modes_surrogate
+cat = traveling_modes_surrogate(13, 64, 10_000, seed=3, n_components=2)
+rows = np.random.default_rng(9).choice(cat.length, 200, replace=False)
+index = NeighborIndex(cat)
+assert index.backend == "exhaustive"
+print(hashlib.sha256(index.row_distances(rows, 40, 36).tobytes()).hexdigest())
+"""
+
+
+def test_row_distance_bytes_do_not_depend_on_blas_threads():
+    digests = _digests_at_blas_threads(_ROW_DISTANCE_PROBE)
     assert digests[0] == digests[1]
 
 

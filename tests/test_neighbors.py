@@ -419,6 +419,136 @@ def test_row_distances_validation():
         index.row_distances([0], 10)
     assert (err.value.requested, err.value.admissible) == (10, 9)
     assert index.row_distances([], 3).shape == (0, 3)
+    # Row numbers are indices: a fractional one is not rounded to a row.
+    with pytest.raises(IndexError):
+        index.row_distances([0, 1.5], 3)
+
+
+# ------------------------------------------- row distances in target blocks
+
+
+def _small_blocks(monkeypatch, length, rows_per_block=7):
+    # A block of 7 target rows, so a few hundred rows take many blocks and
+    # end on a partial one.
+    monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", rows_per_block * length)
+
+
+def _stacked_rows(index, rows, k, gap):
+    policy = ExclusionPolicy(min_target_gap=max(gap, 1))
+    cat = index.catalog
+    return np.array(
+        [index.query(cat.states[r], k, policy, target_time=int(cat.times[r])).distances for r in rows]
+    )
+
+
+def _scanned_rows(cat, rows, k, gap):
+    """Bitwise oracle: a full scan per row, then the gap rule."""
+    out = []
+    for r in rows:
+        dist, order = _full_scan(cat.states, cat.states[r], len(cat))
+        out.append(dist[np.abs(cat.times[order] - cat.times[r]) >= max(gap, 1)][:k])
+    return np.array(out)
+
+
+def _assert_block_path_exact(index, rows, k, gap):
+    got = index.row_distances(rows, k, gap)
+    assert got.shape == (len(rows), k)
+    np.testing.assert_array_equal(got, _stacked_rows(index, rows, k, gap))
+    np.testing.assert_array_equal(got, _scanned_rows(index.catalog, rows, k, gap))
+    return got
+
+
+@pytest.mark.parametrize("gap", [0, 1, 5])
+def test_block_row_distances_equal_queries_and_full_scan(gap, monkeypatch):
+    cat = _catalog_with_duplicate()
+    _small_blocks(monkeypatch, len(cat))
+    index = NeighborIndex(cat, backend="exhaustive")
+    # 250 rows in a shuffled order: 35 full blocks and one of 5 rows.
+    rows = np.random.default_rng(41).permutation(len(cat))[:250]
+    got = _assert_block_path_exact(index, rows, 12, gap)
+    # Rows 7 and 30 each count the other at distance zero.
+    assert got[rows == 7][0, 0] == got[rows == 30][0, 0] == 0.0
+
+
+@pytest.mark.parametrize("gap", [0, 1, 5])
+def test_block_row_distances_when_ties_straddle_the_cut(gap, monkeypatch):
+    # A coarse grid above the k-d tree limit: squared distances are small
+    # integers, so many rows tie at the k-th admissible distance. The offset
+    # leaves the differences exact, while the norm form's rounding error
+    # exceeds the unit steps between squared distances: only the margin
+    # keeps the right rows nominated.
+    rng = np.random.default_rng(43)
+    states = 1e8 + rng.integers(0, 3, size=(400, KDTREE_MAX_DIM + 4)).astype(np.float64)
+    cat = Catalog(states)
+    _small_blocks(monkeypatch, len(cat))
+    index = NeighborIndex(cat)
+    assert index.backend == "exhaustive"
+    rows, k = np.arange(0, 400, 2), 10
+    _assert_block_path_exact(index, rows, k, gap)
+    longer = _scanned_rows(cat, rows, k + 1, gap)
+    assert (longer[:, k] == longer[:, k - 1]).sum() > 10
+
+
+def test_block_row_distances_with_overflowing_norms(monkeypatch):
+    # Rows near 1e160 have squared norms beyond the float range, so every
+    # target is scanned in full. Rows near 2.7e153 keep their squared norms
+    # finite but overflow 4h for their own targets only: those blocks mix
+    # full scans with the product. Nothing may warn.
+    rng = np.random.default_rng(31)
+    near = rng.standard_normal((150, 4))
+    beyond = 1e160 * (1.0 + 1e-10 * rng.standard_normal((150, 4)))
+    edge = 2.7e153 * (1.0 + 1e-10 * rng.standard_normal((150, 4)))
+    rows = np.random.default_rng(47).permutation(300)
+    for far in (beyond, edge):
+        cat = Catalog(np.concatenate([near, far]))
+        _small_blocks(monkeypatch, len(cat))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            index = NeighborIndex(cat, backend="exhaustive")
+            for gap, k in ((0, 1), (5, 10)):
+                _assert_block_path_exact(index, rows, k, gap)
+
+
+def test_block_norm_forms_stay_within_their_bound():
+    # 1000 targets against 5000 rows would make a 40 MB form at once; the
+    # blocks keep it to _BLOCK_ELEMS doubles (4 MB).
+    rng = np.random.default_rng(53)
+    cat = Catalog(rng.normal(size=(5000, 24)))
+    index = NeighborIndex(cat, backend="exhaustive")
+    tracemalloc.start()
+    try:
+        got = index.row_distances(np.arange(1000), 5, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * neighbors._BLOCK_ELEMS
+    np.testing.assert_array_equal(got[::97], _scanned_rows(cat, np.arange(1000)[::97], 5, 3))
+
+
+def test_block_row_distances_report_the_admissible_count(monkeypatch):
+    # Irregular times and a gap near the catalog's span: the middle rows
+    # have too few admissible rows, the outer rows enough. row_distances
+    # raises for the first short row in the order given, as stacked
+    # queries do.
+    rng = np.random.default_rng(17)
+    states = rng.normal(size=(300, 30))
+    times = np.cumsum(rng.integers(1, 4, size=300)).astype(np.int64)
+    cat = Catalog(states, times)
+    _small_blocks(monkeypatch, len(cat))
+    index = NeighborIndex(cat, backend="exhaustive")
+    gap, k = int(times[-1] - times[0]) // 2, 40
+    rows = np.arange(0, 300, 3)
+    admissible = np.array([(np.abs(times - times[r]) >= gap).sum() for r in rows])
+    first = int(np.argmax(admissible < k))
+    assert first > 7 and admissible[first] > 0
+    with pytest.raises(NotEnoughAnalogsError) as err:
+        index.row_distances(rows, k, gap)
+    assert (err.value.requested, err.value.admissible) == (k, admissible[first])
+    with pytest.raises(NotEnoughAnalogsError) as stacked:
+        _stacked_rows(index, rows, k, gap)
+    assert (stacked.value.requested, stacked.value.admissible) == (k, admissible[first])
+    fine = rows[admissible >= k]
+    _assert_block_path_exact(index, fine, k, gap)
 
 
 def test_policy_exhaustion_reports_admissible_count():

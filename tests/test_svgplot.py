@@ -5,7 +5,11 @@ margins, so they break if the layout constants drift.
 """
 
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,35 @@ def test_ticks_cover_span_with_nice_steps(value):
             math.isclose(mantissa * mult, round(mantissa * mult), rel_tol=1e-9)
             for mult in (1.0, 2.0, 5.0, 10.0)
         )
+
+
+# The address-space cap turns a runaway tick loop into a MemoryError within
+# a second or two, instead of letting it take the host's memory.
+_NARROW_SPAN_PROBE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+from analogdist.svgplot import line_plot
+print(line_plot({"x": [0.0, 1.0], "y": [1e15, 1e15 + 0.125]}, "x", "y"), end="\\0")
+print(line_plot({"x": [1e15, 1e15 + 0.125], "y": [0.0, 1.0]}, "x", "y"), end="\\0")
+"""
+
+
+def test_span_of_a_few_ulps_gets_its_end_ticks():
+    # Around 1e15 doubles are 0.125 apart, so a tick step of 0.05 cannot be
+    # added to a tick: the axis is labelled at its two ends instead.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _NARROW_SPAN_PROBE],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stderr
+    svgs = run.stdout.split("\0")[:-1]
+    assert len(svgs) == 2
+    for svg in svgs:
+        (line,) = _polylines(svg)
+        assert len(line.get("points").split()) == 2
+        assert _texts(svg).count("1e+15") == 2
 
 
 def _is_number(text: str) -> bool:
