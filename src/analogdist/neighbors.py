@@ -5,21 +5,22 @@ and a k-d tree for low-dimensional states. Distances are plain Euclidean,
 each computed as sqrt(sum((x - z)**2)); ties are broken by ascending
 catalog index.
 
-The backends only nominate candidates; one exact tail then computes the
-candidates' distances, cuts at the m-th with its ties and orders by
-(distance, index), so the two agree bitwise with each other and with a
-full scan. The exhaustive scan nominates from the norm form
-|x|^2 + |z|^2 - 2 x.z (one matrix product per block of targets against
-cached row norms; a query is a block of one, and row_distances blocks its
-rows so the (rows, L) form holds at most _BLOCK_ELEMS doubles), widened by
-a bound on its rounding error: a row is nominated unless its lower bound
-exceeds the m-th smallest upper bound, the exact-kNN scheme of Johnson,
-Douze & Jegou (arXiv:1702.08734). The bound holds for any summation
-order, so the bytes do not depend on the block or the BLAS threads. Where
-that bound is not finite it nominates every row. The k-d tree asks for one
-neighbour more than needed and nominates its first m, or the ball just
-beyond its m-th distance when that extra neighbour may tie with the cut.
-Radius queries scan every row exactly on either backend.
+The backends only nominate candidates, each in one step for a block of
+target rows (_nominate; a query is a block of one). One exact tail then
+computes the candidates' distances, cuts at the m-th with its ties and
+orders by (distance, index), so the two agree bitwise with each other and
+with a full scan. The exhaustive scan nominates from the norm form
+|x|^2 + |z|^2 - 2 x.z (one matrix product per block against cached row
+norms), widened by a bound on its rounding error: a row is nominated
+unless its lower bound exceeds the m-th smallest upper bound, the
+exact-kNN scheme of Johnson, Douze & Jegou (arXiv:1702.08734). The bound
+holds for any summation order, so the bytes do not depend on the block or
+the BLAS threads. Where that bound is not finite it nominates every row.
+The k-d tree makes one query per block for one neighbour more than needed
+and nominates each row's first m, or the ball just beyond its m-th
+distance when that extra neighbour may tie with the cut. row_distances
+bounds each block's norm form, or the tree's distances and indices, to
+_BLOCK_ELEMS numbers. Radius queries scan every row exactly on either backend.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ KDTREE_MAX_DIM = 20
 _KDTREE_MIN_ROWS = 256
 _EPS = float(np.finfo(np.float64).eps)
 _SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
-# The exhaustive row path's (rows, L) norm-form block holds at most this
-# many doubles (4 MB: 52 target rows against a 10000-row catalog).
+# A row_distances block holds at most this many numbers: the scan's
+# (rows, L) norm form (4 MB: 52 target rows against a 10000-row catalog),
+# or the tree's (rows, m + 1) distances and indices together.
 _BLOCK_ELEMS = 1 << 19
 
 
@@ -173,25 +175,28 @@ class NeighborIndex:
         order = np.lexsort((sel, dist))
         return sel[order], dist[order]
 
-    def _candidates_prefix(self, z: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and distances of the m nearest rows and their ties at the
-        m-th distance, ordered by (distance, index)."""
-        L = self.catalog.length
-        m = min(m, L)
+    def _nominate(self, Z: np.ndarray, m: int):
+        """Yields, for each row z of the (b, D) block Z, catalog rows holding
+        z's m nearest (m <= L) and every row that ties with the m-th:
+        _preselect on the scan, one tree query for the whole block on the
+        tree.
+
+        The tree asks for one neighbour more than needed, which shows
+        whether a row outside its m may tie with the cut; such a row of Z
+        nominates the ball just beyond its m-th distance instead. The tree's
+        m-th distance lies a few ulps from the exact one, far inside the
+        ball's widening. Each nomination is a copy, so none keeps the
+        block's (b, m + 1) result alive."""
         if self._tree is None:
-            sel = self._preselect(z[None], m)[0]
-        else:
-            # One neighbour more than needed shows whether a row outside the
-            # tree's m can tie with the cut. The tree's m-th distance lies a
-            # few ulps from the exact one, far inside the ball's widening.
-            tree_dist, idx = self._tree.query(z, k=min(m + 1, L))
-            tree_dist = np.atleast_1d(tree_dist)
-            radius = tree_dist[m - 1] * (1.0 + 1e-12) + 1e-300
-            if m < L and tree_dist[m] <= radius:
-                sel = np.asarray(self._tree.query_ball_point(z, radius), dtype=np.int64)
-            else:
-                sel = np.atleast_1d(np.asarray(idx, dtype=np.int64))[:m]
-        return self._exact_prefix(z, sel, m)
+            yield from self._preselect(Z, m)
+            return
+        L = self.catalog.length
+        tree_dist, idx = (a.reshape(len(Z), -1) for a in self._tree.query(Z, k=min(m + 1, L)))
+        radius = tree_dist[:, m - 1] * (1.0 + 1e-12) + 1e-300
+        ties = tree_dist[:, m] <= radius if m < L else np.zeros(len(Z), dtype=bool)
+        balls = iter(self._tree.query_ball_point(Z[ties], radius[ties]))
+        for row, tie in zip(idx, ties):
+            yield np.asarray(next(balls), dtype=np.int64) if tie else row[:m].copy()
 
     def query(
         self,
@@ -214,7 +219,8 @@ class NeighborIndex:
         if n_analogs < 1:
             raise ValueError("n_analogs must be >= 1")
         gap = policy.min_target_gap if policy is not None else 0
-        idx, dist = self._candidates_prefix(z, n_analogs + max(2 * gap - 1, 0))
+        m = min(n_analogs + max(2 * gap - 1, 0), self.catalog.length)
+        idx, dist = self._exact_prefix(z, next(self._nominate(z[None], m)), m)
         if policy is not None:
             idx, dist = apply_exclusion(idx, dist, target_time, self.catalog.times, policy)
         if len(idx) < n_analogs:
@@ -227,9 +233,10 @@ class NeighborIndex:
         row's own time is always dropped, so the row never counts and an
         exact duplicate at another time does.
 
-        The exhaustive backend nominates for a block of rows at once (see
-        _preselect); the k-d tree answers one query per row. Both give the
-        bytes of stacked query calls."""
+        Both backends nominate for a block of rows at once (see _nominate)
+        and run query's exact tail per row, then drop the rows inside the
+        gap; no query call is made. The bytes are those of stacked query
+        calls."""
         if n_analogs < 1:
             raise ValueError("n_analogs must be >= 1")
         if gap < 0:
@@ -238,18 +245,15 @@ class NeighborIndex:
         states, times = self.catalog.states, self.catalog.times
         rows = np.asarray(rows)
         out = np.empty((len(rows), n_analogs))
-        if self._tree is not None:
-            policy = ExclusionPolicy(min_target_gap=gap)
-            for j, row in enumerate(rows):
-                out[j] = self.query(states[row], n_analogs, policy, target_time=int(times[row])).distances
-            return out
         # As in query: the prefix holds the n_analogs nearest admissible rows.
         m = min(n_analogs + 2 * gap - 1, self.catalog.length)
-        step = max(1, _BLOCK_ELEMS // self.catalog.length)
+        # Per target row the scan's norm form holds L doubles, and the tree's
+        # result m + 1 distances with as many indices.
+        width = self.catalog.length if self._tree is None else 2 * (m + 1)
+        step = max(1, _BLOCK_ELEMS // width)
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
-            Z = states[block]
-            for j, (row, sel) in enumerate(zip(block, self._preselect(Z, m)), start):
+            for j, (row, sel) in enumerate(zip(block, self._nominate(states[block], m)), start):
                 idx, dist = self._exact_prefix(states[row], sel, m)
                 dist = dist[np.abs(times[idx] - times[row]) >= gap]
                 if len(dist) < n_analogs:

@@ -60,8 +60,12 @@ def _nice_step(rough: float) -> float:
 def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     if not hi > lo:
         return [lo]
-    step = _nice_step((hi - lo) / max(target, 1))
-    # A span of a few ulps has no step that doubles can add: label its ends.
+    rough = (hi - lo) / max(target, 1)
+    # A span beyond the double range, one too narrow to divide, or one of a
+    # few ulps has no step that doubles can add: label its ends.
+    if not 0.0 < rough < math.inf:
+        return [lo, hi]
+    step = _nice_step(rough)
     if step < math.ulp(max(abs(lo), abs(hi))):
         return [lo, hi]
     first = math.ceil(lo / step - 1e-9) * step

@@ -428,9 +428,32 @@ def test_row_distances_validation():
 
 
 def _small_blocks(monkeypatch, length, rows_per_block=7):
-    # A block of 7 target rows, so a few hundred rows take many blocks and
-    # end on a partial one.
+    # A scan block of 7 target rows, so a few hundred rows take many blocks
+    # and end on a partial one. A tree block holds 2(m + 1) numbers per row,
+    # so at these sizes it takes tens of rows: still several blocks.
     monkeypatch.setattr(neighbors, "_BLOCK_ELEMS", rows_per_block * length)
+
+
+# Both backends at gaps 0, 1 and 5; the scan's cases are named by gap alone.
+_BLOCK_CASES = [pytest.param("exhaustive", gap, id=str(gap)) for gap in (0, 1, 5)] + [
+    pytest.param("kdtree", gap, id=f"kdtree-{gap}") for gap in (0, 1, 5)
+]
+
+
+class _CountingTree:
+    """Proxy over a k-d tree that records how many points each tree query
+    and each ball query receives."""
+
+    def __init__(self, tree):
+        self._tree, self.queries, self.balls = tree, [], []
+
+    def query(self, points, *args, **kwargs):
+        self.queries.append(len(points))
+        return self._tree.query(points, *args, **kwargs)
+
+    def query_ball_point(self, points, *args, **kwargs):
+        self.balls.append(len(points))
+        return self._tree.query_ball_point(points, *args, **kwargs)
 
 
 def _stacked_rows(index, rows, k, gap):
@@ -458,35 +481,44 @@ def _assert_block_path_exact(index, rows, k, gap):
     return got
 
 
-@pytest.mark.parametrize("gap", [0, 1, 5])
-def test_block_row_distances_equal_queries_and_full_scan(gap, monkeypatch):
+@pytest.mark.parametrize("backend,gap", _BLOCK_CASES)
+def test_block_row_distances_equal_queries_and_full_scan(backend, gap, monkeypatch):
     cat = _catalog_with_duplicate()
     _small_blocks(monkeypatch, len(cat))
-    index = NeighborIndex(cat, backend="exhaustive")
-    # 250 rows in a shuffled order: 35 full blocks and one of 5 rows.
+    index = NeighborIndex(cat, backend=backend)
+    # 250 rows in a shuffled order: on the scan 35 full blocks and one of 5
+    # rows, on the tree 3 to 5 full blocks and a partial one.
     rows = np.random.default_rng(41).permutation(len(cat))[:250]
     got = _assert_block_path_exact(index, rows, 12, gap)
     # Rows 7 and 30 each count the other at distance zero.
     assert got[rows == 7][0, 0] == got[rows == 30][0, 0] == 0.0
 
 
-@pytest.mark.parametrize("gap", [0, 1, 5])
-def test_block_row_distances_when_ties_straddle_the_cut(gap, monkeypatch):
-    # A coarse grid above the k-d tree limit: squared distances are small
-    # integers, so many rows tie at the k-th admissible distance. The offset
-    # leaves the differences exact, while the norm form's rounding error
-    # exceeds the unit steps between squared distances: only the margin
-    # keeps the right rows nominated.
+@pytest.mark.parametrize("backend,gap", _BLOCK_CASES)
+def test_block_row_distances_when_ties_straddle_the_cut(backend, gap, monkeypatch):
+    # A coarse grid: squared distances are small integers, so many rows tie
+    # at the k-th admissible distance. The offset leaves the differences
+    # exact, while the norm form's rounding error exceeds the unit steps
+    # between squared distances: only the margin keeps the right rows
+    # nominated. The scan's grid lies above the k-d tree limit; the tree's
+    # is 3-d, where the ties send most rows of a block to the ball.
     rng = np.random.default_rng(43)
-    states = 1e8 + rng.integers(0, 3, size=(400, KDTREE_MAX_DIM + 4)).astype(np.float64)
+    dim = 3 if backend == "kdtree" else KDTREE_MAX_DIM + 4
+    states = 1e8 + rng.integers(0, 3, size=(400, dim)).astype(np.float64)
     cat = Catalog(states)
     _small_blocks(monkeypatch, len(cat))
     index = NeighborIndex(cat)
-    assert index.backend == "exhaustive"
+    assert index.backend == backend
     rows, k = np.arange(0, 400, 2), 10
     _assert_block_path_exact(index, rows, k, gap)
     longer = _scanned_rows(cat, rows, k + 1, gap)
     assert (longer[:, k] == longer[:, k - 1]).sum() > 10
+    if backend == "kdtree":
+        # The blocks' rows split between the tree's m and the ball.
+        tree = index._tree = _CountingTree(index._tree)
+        index.row_distances(rows, k, gap)
+        assert len(tree.queries) > 1
+        assert 0 < sum(tree.balls) < len(rows)
 
 
 def test_block_row_distances_with_overflowing_norms(monkeypatch):
@@ -525,30 +557,76 @@ def test_block_norm_forms_stay_within_their_bound():
     np.testing.assert_array_equal(got[::97], _scanned_rows(cat, np.arange(1000)[::97], 5, 3))
 
 
+def test_tree_blocks_stay_within_their_bound():
+    # 4000 targets with m = 404 would make 26 MB of tree distances and
+    # indices at once; the blocks keep them to _BLOCK_ELEMS numbers (4 MB).
+    rng = np.random.default_rng(59)
+    cat = Catalog(rng.normal(size=(5000, 3)))
+    index = NeighborIndex(cat, backend="kdtree")
+    tracemalloc.start()
+    try:
+        got = index.row_distances(np.arange(4000), 5, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * neighbors._BLOCK_ELEMS
+    np.testing.assert_array_equal(got[::397], _scanned_rows(cat, np.arange(4000)[::397], 5, 200))
+
+
+def test_tree_row_distances_query_the_tree_once_per_block(monkeypatch):
+    # The tree's row path nominates for a block of rows with one tree query
+    # and makes no query call, so no exclusion round either.
+    cat = _catalog_with_duplicate()
+    _small_blocks(monkeypatch, len(cat))
+    index = NeighborIndex(cat, backend="kdtree")
+    rows, k, gap = np.random.default_rng(61).permutation(len(cat)), 12, 5
+    expected = _stacked_rows(index, rows, k, gap)
+    tree = index._tree = _CountingTree(index._tree)
+    calls = []
+
+    def counting(real):
+        def wrapper(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(NeighborIndex, "query", counting(NeighborIndex.query))
+    monkeypatch.setattr(neighbors, "apply_exclusion", counting(neighbors.apply_exclusion))
+    got = index.row_distances(rows, k, gap)
+    np.testing.assert_array_equal(got, expected)
+    assert calls == []
+    # m + 1 = k + 2 gap neighbours per row, distances and indices.
+    step = neighbors._BLOCK_ELEMS // (2 * (k + 2 * gap))
+    assert tree.queries == [len(rows[i : i + step]) for i in range(0, len(rows), step)]
+    assert len(tree.queries) > 1
+
+
 def test_block_row_distances_report_the_admissible_count(monkeypatch):
     # Irregular times and a gap near the catalog's span: the middle rows
     # have too few admissible rows, the outer rows enough. row_distances
     # raises for the first short row in the order given, as stacked
-    # queries do.
+    # queries do, on either backend. The tree takes the first 3 of the 30
+    # columns.
     rng = np.random.default_rng(17)
     states = rng.normal(size=(300, 30))
     times = np.cumsum(rng.integers(1, 4, size=300)).astype(np.int64)
-    cat = Catalog(states, times)
-    _small_blocks(monkeypatch, len(cat))
-    index = NeighborIndex(cat, backend="exhaustive")
+    _small_blocks(monkeypatch, len(states))
     gap, k = int(times[-1] - times[0]) // 2, 40
     rows = np.arange(0, 300, 3)
     admissible = np.array([(np.abs(times - times[r]) >= gap).sum() for r in rows])
     first = int(np.argmax(admissible < k))
     assert first > 7 and admissible[first] > 0
-    with pytest.raises(NotEnoughAnalogsError) as err:
-        index.row_distances(rows, k, gap)
-    assert (err.value.requested, err.value.admissible) == (k, admissible[first])
-    with pytest.raises(NotEnoughAnalogsError) as stacked:
-        _stacked_rows(index, rows, k, gap)
-    assert (stacked.value.requested, stacked.value.admissible) == (k, admissible[first])
-    fine = rows[admissible >= k]
-    _assert_block_path_exact(index, fine, k, gap)
+    for backend, dim in (("exhaustive", 30), ("kdtree", 3)):
+        index = NeighborIndex(Catalog(states[:, :dim], times), backend=backend)
+        with pytest.raises(NotEnoughAnalogsError) as err:
+            index.row_distances(rows, k, gap)
+        assert (err.value.requested, err.value.admissible) == (k, admissible[first])
+        with pytest.raises(NotEnoughAnalogsError) as stacked:
+            _stacked_rows(index, rows, k, gap)
+        assert (stacked.value.requested, stacked.value.admissible) == (k, admissible[first])
+        fine = rows[admissible >= k]
+        _assert_block_path_exact(index, fine, k, gap)
 
 
 def test_policy_exhaustion_reports_admissible_count():

@@ -198,6 +198,29 @@ def test_span_of_a_few_ulps_gets_its_end_ticks():
         assert _texts(svg).count("1e+15") == 2
 
 
+def _y_tick_labels(svg: str) -> list[str]:
+    root = ET.fromstring(svg)
+    return [el.text or "" for el in root.iter(f"{SVG_NS}text") if el.get("text-anchor") == "end"]
+
+
+def test_span_beyond_the_double_range_gets_its_end_ticks():
+    # hi - lo overflows to inf, so no tick step exists: the axis is labelled
+    # at its two ends instead of raising OverflowError.
+    svg = line_plot({"x": [0.0, 1.0], "y": [-1e308, 1e308]}, "x", "y")
+    (line,) = _polylines(svg)
+    assert len(line.get("points").split()) == 2
+    assert len(_y_tick_labels(svg)) == 2
+
+
+def test_span_below_the_smallest_step_gets_its_end_ticks():
+    # A span of one subnormal divides to 0, which has no logarithm: the
+    # axis is labelled at its two ends instead of raising ValueError.
+    svg = line_plot({"x": [0.0, 1.0], "y": [0.0, 5e-324]}, "x", "y")
+    (line,) = _polylines(svg)
+    assert len(line.get("points").split()) == 2
+    assert _y_tick_labels(svg) == ["0", "4.94066e-324"]
+
+
 def _is_number(text: str) -> bool:
     try:
         float(text)
