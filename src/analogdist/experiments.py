@@ -9,11 +9,13 @@ manifest records the bound arguments. Drivers are deterministic functions
 of their arguments, so re-running from a manifest reproduces every
 artifact bit for bit; a manifest whose parameters do not bind to the
 signature (unknown, missing or uncoercible) raises FormatError before the
-driver runs. Monte Carlo work is spread over a thread pool (numpy releases
-the GIL) but merged in catalog-index order, keeping results independent
-of the worker count; ANALOG_DIST_THREADS sets the pool size, at most
-MAX_WORKERS. The cluster command fits its candidate x seed grid on the
-same pool size.
+driver runs. Monte Carlo work is spread over a thread pool (its large
+numpy calls release the GIL) but merged in catalog-index order, keeping
+results independent of the worker count; ANALOG_DIST_THREADS sets the pool
+size, at most MAX_WORKERS. The cluster command fits its candidate counts
+on as many forked processes instead: EM's many short numpy calls hold the
+GIL, and two threads running them at once on 2 cores made each call
+1.9-3.5 times slower than one.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ __all__ = [
 
 CSV_SCHEMA = "analogdist-csv/v1"
 # Ceiling on ANALOG_DIST_THREADS: the pools run numpy work on a few cores,
-# and an unbounded value would ask the OS for that many threads.
+# and an unbounded value would ask the OS for that many threads or processes.
 MAX_WORKERS = 64
 _DENSITY_GRID = 512
 
@@ -88,7 +90,7 @@ class ExperimentResult:
 
 
 def worker_count() -> int:
-    """Thread-pool size: ANALOG_DIST_THREADS if set, else cpu count capped at
+    """Worker-pool size: ANALOG_DIST_THREADS if set, else cpu count capped at
     8. A set value above MAX_WORKERS is cut to MAX_WORKERS."""
     env = os.environ.get("ANALOG_DIST_THREADS")
     if env is None:

@@ -12,6 +12,7 @@ histograms are drawn as precomputed bin profiles.
 from __future__ import annotations
 
 import math
+import sys
 from xml.sax.saxutils import escape
 
 __all__ = ["line_plot"]
@@ -77,6 +78,15 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
             return [lo, hi]
         value += step
     return ticks
+
+
+def _fraction(v: float, start: float, end: float) -> float:
+    """(v - start) / (end - start): where far-apart finite ends make the
+    span overflow, every term is halved first, so the result stays finite."""
+    span = end - start
+    if math.isinf(span):
+        return (v / 2 - start / 2) / (end / 2 - start / 2)
+    return (v - start) / span
 
 
 def _fmt_tick(value: float) -> str:
@@ -145,16 +155,18 @@ def line_plot(
     if y_hi == y_lo:
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
     pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if math.isinf(pad):  # the span overflows: take it from halved ends
+        pad = 0.1 * (y_hi / 2 - y_lo / 2)
+    y_lo, y_hi = max(y_lo - pad, -sys.float_info.max), min(y_hi + pad, sys.float_info.max)
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(v: float) -> float:
-        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + _fraction(v, x_lo, x_hi) * plot_w
 
     def py(v: float) -> float:
-        return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + _fraction(v, y_hi, y_lo) * plot_h
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from analogdist import __version__, experiments
+from analogdist import __version__, clustering, experiments
 from analogdist.catalog import Catalog, load_catalog, save_catalog
 from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
@@ -162,6 +162,28 @@ class TestExitCodes:
         code = main(["cluster", "--catalog", "x.anacat", "--out", str(tmp_path)])
         assert code == 3
         assert "collapsed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_em_exits_with_one_code_at_any_worker_count(
+        self, threads, tiny_catalog, tmp_path, monkeypatch, capsys
+    ):
+        # At 2 workers the fits run in forked processes, which inherit the
+        # patches; each failure must cross back with its type and message.
+        monkeypatch.setenv("ANALOG_DIST_THREADS", threads)
+        argv = ["cluster", "--catalog", str(tiny_catalog), "--n-eof", "2", "--candidates", "1,2,3",
+                "--seeds", "2"]
+
+        def reject(*args):
+            raise ValueError("EM rejected its input")
+
+        monkeypatch.setattr(clustering, "_fit_restarts", reject)
+        assert main(argv + ["--out", str(tmp_path / "rejected")]) == 2
+        assert capsys.readouterr().err == "error: EM rejected its input\n"
+
+        monkeypatch.setattr(clustering, "_fit_restarts", lambda x, f, n, seeds, *args: [None] * len(seeds))
+        with pytest.warns(UserWarning):
+            assert main(argv + ["--out", str(tmp_path / "collapsed")]) == 3
+        assert capsys.readouterr().err == "error: every candidate component count failed to fit\n"
 
     @pytest.mark.parametrize("dim", [3, 24])
     def test_non_finite_catalog_exits_3(self, tmp_path, capsys, dim):

@@ -4,6 +4,8 @@ log-density oracles, and BIC selection on well-separated blobs."""
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -215,10 +217,12 @@ def test_collapse_raises_after_retry(monkeypatch):
         gmm_fit(np.random.default_rng(0).normal(size=(50, 2)), 2)
 
 
-def test_select_raises_when_every_candidate_fails(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_select_raises_when_every_candidate_fails(monkeypatch, workers):
+    # Forked workers inherit the patch.
     monkeypatch.setattr(clustering, "_em", always_collapse)
     with pytest.raises(CovarianceCollapseError), pytest.warns(UserWarning):
-        select_n_clusters(np.random.default_rng(0).normal(size=(50, 2)), (2, 3))
+        select_n_clusters(np.random.default_rng(0).normal(size=(50, 2)), (2, 3), workers=workers)
 
 
 @pytest.mark.parametrize(
@@ -421,7 +425,8 @@ def test_later_seed_must_beat_the_kept_fit_by_more_than_rounding(monkeypatch, ga
     assert result.best_model is fits[kept]
 
 
-def test_skipped_candidates_warn_in_candidate_order(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_skipped_candidates_warn_in_candidate_order(monkeypatch, workers):
     fit = clustering._fit_restarts
 
     def collapse_above_two(x, features, n, seeds, *args):
@@ -432,11 +437,48 @@ def test_skipped_candidates_warn_in_candidate_order(monkeypatch):
     monkeypatch.setattr(clustering, "_fit_restarts", collapse_above_two)
     data = blobs([(-8.0, 0.0), (8.0, 0.0)], 60, 1.0, seed=2)
     with pytest.warns(UserWarning) as record:
-        result = select_n_clusters(data, (5, 1, 4, 2, 3), seeds_per_candidate=2, workers=2)
+        result = select_n_clusters(data, (5, 1, 4, 2, 3), seeds_per_candidate=2, workers=workers)
     assert [str(w.message) for w in record] == [
         f"all fits failed for n_components={n}; candidate skipped" for n in (3, 4, 5)
     ]
     assert [n for n, _ in result.bic_curve] == [1, 2]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_fit_reaches_the_caller_unchanged(monkeypatch, workers):
+    def reject(x, features, n, seeds, *args):
+        if n == 3:
+            raise ValueError("EM rejected n_components=3")
+        return [None] * len(seeds)
+
+    monkeypatch.setattr(clustering, "_fit_restarts", reject)
+    data = blobs([(-8.0, 0.0), (8.0, 0.0)], 60, 1.0, seed=2)
+    with pytest.raises(ValueError) as err:
+        select_n_clusters(data, (1, 2, 3, 4), seeds_per_candidate=2, workers=workers)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "EM rejected n_components=3"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_selection_fits_in_worker_processes_that_all_exit(monkeypatch, tmp_path, workers):
+    fit = clustering._fit_restarts
+
+    def recording(x, features, n, seeds, *args):
+        (tmp_path / f"{n}.pid").write_text(str(os.getpid()))
+        return fit(x, features, n, seeds, *args)
+
+    monkeypatch.setattr(clustering, "_fit_restarts", recording)
+    data = blobs([(-8.0, 0.0), (8.0, 0.0)], 60, 1.0, seed=2)
+    result = select_n_clusters(data, (1, 2, 3), seeds_per_candidate=2, workers=workers)
+    assert result.best_n == 2
+    pids = {int(p.read_text()) for p in tmp_path.glob("*.pid")}
+    assert len(list(tmp_path.glob("*.pid"))) == 3
+    if workers == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids and len(pids) <= workers
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

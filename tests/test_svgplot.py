@@ -212,6 +212,31 @@ def test_span_beyond_the_double_range_gets_its_end_ticks():
     assert len(_y_tick_labels(svg)) == 2
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        {"x": [0.0, 1.0], "y": [-1e308, 1e308]},
+        {"x": [-1e308, 1e308], "y": [0.0, 1.0]},
+        {"x": [-1.7e308, 1.7e308], "y": [-1.7e308, 1.7e308]},
+    ],
+    ids=["y", "x", "both-near-the-largest-double"],
+)
+def test_span_beyond_the_double_range_draws_finite_ends(table):
+    # hi - lo and the y padding overflow to inf; the axis ends, their tick
+    # labels and the point coordinates must all stay finite.
+    svg = line_plot(table, "x", "y")
+    (line,) = _polylines(svg)
+    points = [tuple(float(v) for v in p.split(",")) for p in line.get("points").split()]
+    assert [x for x, _ in points] == [68.0, 704.0]
+    assert all(34.0 < y < 388.0 for _, y in points)
+    ticks = [float(t) for t in _texts(svg) if _is_number(t)]
+    assert len(ticks) >= 4 and all(math.isfinite(t) for t in ticks)
+    if max(table["y"]) < 1.7e308:
+        # Halved ends map each point where the unit square's lands.
+        unit = line_plot({"x": [0, 1], "y": [0, 1]}, "x", "y")
+        assert line.get("points") == _polylines(unit)[0].get("points")
+
+
 def test_span_below_the_smallest_step_gets_its_end_ticks():
     # A span of one subnormal divides to 0, which has no logarithm: the
     # axis is labelled at its two ends instead of raising ValueError.
