@@ -1,9 +1,10 @@
 """Command-line entry point: one subcommand per experiment driver.
 
 Exit codes follow a fixed convention so scripts can branch on failures:
-0 success, 2 invalid arguments or request (including argparse errors),
-3 numeric failure (diverging integration, degenerate distances, collapsed
-covariances), 4 I/O or file-format trouble.
+0 success, 2 invalid arguments or request (including argparse errors and
+a request too large to allocate), 3 numeric failure (diverging
+integration, degenerate distances, collapsed covariances), 4 I/O or
+file-format trouble.
 """
 
 from __future__ import annotations
@@ -200,7 +201,8 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (TooLargeError, NotEnoughAnalogsError, DimensionMismatchError, ValueError) as exc:
+    except (TooLargeError, NotEnoughAnalogsError, DimensionMismatchError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:

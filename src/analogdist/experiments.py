@@ -4,18 +4,20 @@ Each driver takes its output location first, runs one self-contained
 experiment, writes versioned CSV artifacts plus minimal SVG renderings of
 them, and drops a manifest recording parameters, seeds, and output hashes.
 A driver's signature is its record of parameters: each call is bound to it,
-defaults applied and every argument coerced to its annotation, and the
-manifest records the bound arguments. Drivers are deterministic functions
-of their arguments, so re-running from a manifest reproduces every
-artifact bit for bit; a manifest whose parameters do not bind to the
-signature (unknown, missing or uncoercible) raises FormatError before the
-driver runs. Monte Carlo work is spread over a thread pool (its large
-numpy calls release the GIL) but merged in catalog-index order, keeping
-results independent of the worker count; ANALOG_DIST_THREADS sets the pool
-size, at most MAX_WORKERS. The cluster command fits its candidate counts
-on as many forked processes instead: EM's many short numpy calls hold the
-GIL, and two threads running them at once on 2 cores made each call
-1.9-3.5 times slower than one.
+defaults applied and every argument coerced to its annotation, which also
+holds the parameter's fixed domain, so a value outside it raises ValueError
+naming the parameter before any file is read or written. The manifest
+records the bound arguments. Drivers are deterministic functions of their
+arguments, so re-running from a manifest reproduces every artifact bit for
+bit; a manifest whose parameters do not bind to the signature (unknown,
+missing, uncoercible or out of domain) raises FormatError before the driver
+runs. Monte Carlo work is spread over a thread pool (its large numpy calls
+release the GIL) but merged in catalog-index order, keeping results
+independent of the worker count; ANALOG_DIST_THREADS sets the pool size, at
+most MAX_WORKERS. The cluster command fits its candidate counts on as many
+forked processes instead: EM's many short numpy calls hold the GIL, and two
+threads running them at once on 2 cores made each call 1.9-3.5 times
+slower than one.
 """
 
 from __future__ import annotations
@@ -175,8 +177,34 @@ def _distinct(values: tuple) -> tuple:
     """The values unchanged; a value given twice raises ValueError."""
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
-        raise ValueError(f"list {list(values)} repeats {repeated}")
+        raise ValueError(f"repeats {repeated} in {list(values)}")
     return values
+
+
+def _nonempty(values: tuple) -> tuple:
+    """The values unchanged; an empty list raises ValueError."""
+    if not values:
+        raise ValueError("must not be empty")
+    return values
+
+
+@dataclass(frozen=True)
+class _at_least:
+    """A count's domain: the count unchanged; one below floor raises ValueError."""
+
+    floor: int
+
+    def __call__(self, value: int) -> int:
+        if value < self.floor:
+            raise ValueError(f"must be >= {self.floor}, got {value}")
+        return value
+
+
+def _positive_finite(value: float) -> float:
+    """The value unchanged; zero, a negative, infinity or NaN raises ValueError."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"must be a positive finite number, got {value:g}")
+    return value
 
 
 def _coerce(kind, value):
@@ -184,9 +212,8 @@ def _coerce(kind, value):
 
     Only `T | None` admits None; `tuple[T, ...]` takes any iterable but a
     string; `Annotated[T, f, ...]` applies each f in turn after converting
-    to T (every rank, size and dimension list is annotated with
-    `_distinct`, and those also annotated with `sorted` are recorded in
-    ascending order).
+    to T. Each f returns its value or raises ValueError: the domain checks
+    above (on a tuple or on its element type), and `sorted` for ranks.
     """
     origin, args = get_origin(kind), get_args(kind)
     if type(None) in args:
@@ -206,11 +233,18 @@ def _coerce(kind, value):
 
 
 def _arguments(func, *args, **kwargs) -> dict:
-    """Bind a call to a driver's signature, with defaults, each argument coerced."""
+    """Bind a call to a driver's signature, with defaults, each argument coerced;
+    a ValueError (a value outside its domain) comes back led by the parameter's name."""
     signature = inspect.signature(func, eval_str=True)
     bound = signature.bind(*args, **kwargs)
     bound.apply_defaults()
-    return {k: _coerce(signature.parameters[k].annotation, v) for k, v in bound.arguments.items()}
+    typed = {}
+    for name, value in bound.arguments.items():
+        try:
+            typed[name] = _coerce(signature.parameters[name].annotation, value)
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+    return typed
 
 
 # command -> (driver, kind), filled in by _driver as each driver is defined.
@@ -220,16 +254,16 @@ RUNNERS = {}
 def _driver(command: str, kind: str):
     """Register a driver body in RUNNERS as `command`, inside the frame all runs share.
 
-    The wrapper binds the call with _arguments and records the typed
-    arguments as the manifest's parameters: `out` becomes a Path, so it is
-    recorded normalised, while catalogs stay the strings given. It creates
-    the manifest's directory, which is `out` for a "dir" driver and the
-    parent of `out` for a "file" driver (whose manifest is
-    `<out>.manifest.json`), runs the body on the typed arguments, and
-    writes the manifest. The body returns its outputs and summary lines;
-    dmax-scan adds the parameters it records in place of the requested
-    ones, because which EOF counts a catalog can hold is known only once
-    it is loaded.
+    The wrapper binds the call with _arguments, which runs every domain
+    check, and records the typed arguments as the manifest's parameters:
+    `out` becomes a Path, so it is recorded normalised, while catalogs stay
+    the strings given. Only then does it create the manifest's directory,
+    which is `out` for a "dir" driver and the parent of `out` for a "file"
+    driver (whose manifest is `<out>.manifest.json`), run the body on the
+    typed arguments, and write the manifest. The body returns its outputs
+    and summary lines; dmax-scan adds the parameters it records in place of
+    the requested ones, because which EOF counts a catalog can hold is
+    known only once it is loaded.
     """
 
     def register(body):
@@ -249,20 +283,6 @@ def _driver(command: str, kind: str):
         return run
 
     return register
-
-
-def _check_counts(floor: int, **counts: int) -> None:
-    """Raise ValueError naming a count below floor."""
-    for name, n in counts.items():
-        if n < floor:
-            raise ValueError(f"{name} must be >= {floor}, got {n}")
-
-
-def _check_bandwidths(**bandwidths: float) -> None:
-    """Raise ValueError naming a bandwidth that is not a positive finite number."""
-    for name, bw in bandwidths.items():
-        if not 0.0 < bw < math.inf:
-            raise ValueError(f"{name} must be a positive finite number, got {bw:g}")
 
 
 def _unit_params(rank: int, dim: float, catalog_size: int) -> DistParams:
@@ -343,10 +363,12 @@ def run_gen_surrogate(
 @_driver("theory-curves", "dir")
 def run_theory_curves(
     out: Path,
-    k_list: Annotated[tuple[int, ...], _distinct] = (1, 5, 30),
-    d_list: Annotated[tuple[float, ...], _distinct] = (1.3, 2.0, 5.0),
+    k_list: Annotated[tuple[int, ...], _nonempty, _distinct] = (1, 5, 30),
+    d_list: Annotated[
+        tuple[Annotated[float, _positive_finite], ...], _nonempty, _distinct
+    ] = (1.3, 2.0, 5.0),
     catalog_size: int = 100_000,
-    grid_points: int = _DENSITY_GRID,
+    grid_points: Annotated[int, _at_least(2)] = _DENSITY_GRID,
 ) -> ExperimentResult:
     """Tabulate rank-distance densities in catalog-size-free coordinates.
 
@@ -355,20 +377,18 @@ def run_theory_curves(
     their maximum so curves of different rank share one vertical scale.
     Mean, approximate mean, and mode markers are tabulated alongside.
     """
-    _check_counts(2, grid_points=grid_points)
-    for d in d_list:
-        if not d > 0.0:
-            raise ValueError(f"dimension must be positive, got d={d:g}")
-        if d == math.inf:
-            raise ValueError(f"dimension must be finite, got d={d:g}")
-
     curves = {}
     marker_cols = {"d": [], "k": [], "mean": [], "mean_approx": [], "mode": []}
     for d in d_list:
         x_max = 0.0
-        for k in k_list:
-            unit = _unit_params(k, d, catalog_size)
-            x_max = max(x_max, distance_mean(unit) + 5.0 * math.sqrt(distance_variance(unit)))
+        try:
+            for k in k_list:
+                unit = _unit_params(k, d, catalog_size)
+                x_max = max(x_max, distance_mean(unit) + 5.0 * math.sqrt(distance_variance(unit)))
+        except OverflowError:  # L^(1/d) or a moment is beyond the doubles
+            raise ValueError(
+                f"dimension must be large enough for finite moments at L={catalog_size}, got d={d:g}"
+            ) from None
         grid = np.linspace(0.0, x_max, grid_points)
         to_r = float(catalog_size) ** (-1.0 / d)
         for k in k_list:
@@ -408,13 +428,12 @@ def run_theory_curves(
 
 @_driver("fit-target", "dir")
 def run_fit_target(
-    out: Path, catalog: str, target_index: int, n_analogs: int = 40, exclusion_gap: int = 0
+    out: Path, catalog: str, target_index: Annotated[int, _at_least(0)],
+    n_analogs: Annotated[int, _at_least(3)] = 40, exclusion_gap: Annotated[int, _at_least(0)] = 0,
 ) -> ExperimentResult:
     """Fit the power-law distance profile r_k ~ C k^(1/d) at one target."""
-    _check_counts(3, n_analogs=n_analogs)
-    _check_counts(0, exclusion_gap=exclusion_gap)
     cat = load_catalog(catalog)
-    if not 0 <= target_index < len(cat):
+    if target_index >= len(cat):
         raise ValueError(f"target_index {target_index} outside catalog of length {len(cat)}")
 
     distances = NeighborIndex(cat).row_distances([target_index], n_analogs, exclusion_gap)[0]
@@ -477,13 +496,13 @@ def run_mc_distances(
     out: Path,
     catalog_source: str,
     l_list: Annotated[tuple[int, ...], _distinct] = (10_000, 100_000),
-    n_catalogs: int = 200,
-    target_index: int = 0,
-    n_analogs_dim: int = 150,
-    k_markers: Annotated[tuple[int, ...], _distinct, sorted] = (1, 15, 30),
-    bw_dim: float = 0.15,
-    bw_rho: float = 4.0,
-    bw_rescaled: float = 0.3,
+    n_catalogs: Annotated[int, _at_least(2)] = 200,
+    target_index: Annotated[int, _at_least(0)] = 0,
+    n_analogs_dim: Annotated[int, _at_least(3)] = 150,
+    k_markers: Annotated[tuple[Annotated[int, _at_least(1)], ...], _distinct, sorted] = (1, 15, 30),
+    bw_dim: Annotated[float, _positive_finite] = 0.15,
+    bw_rho: Annotated[float, _positive_finite] = 4.0,
+    bw_rescaled: Annotated[float, _positive_finite] = 0.3,
     seed: int = 0,
 ) -> ExperimentResult:
     """Distance statistics of one target across independent random catalogs.
@@ -502,15 +521,12 @@ def run_mc_distances(
     that fluctuation is part of what the closed-form law predicts, and
     dividing it out per catalog would deflate the sample variance.
     """
-    _check_bandwidths(bw_dim=bw_dim, bw_rho=bw_rho, bw_rescaled=bw_rescaled)
-    _check_counts(2, n_catalogs=n_catalogs)
-    _check_counts(3, n_analogs_dim=n_analogs_dim)
-    if k_markers and (k_markers[0] < 1 or k_markers[-1] > n_analogs_dim):
+    if k_markers and k_markers[-1] > n_analogs_dim:
         raise ValueError("k_markers must lie within 1..n_analogs_dim")
     if not l_list or min(l_list) <= n_analogs_dim:
         raise ValueError(f"l_list must hold sizes > n_analogs_dim = {n_analogs_dim}, got {list(l_list)}")
     source = load_catalog(catalog_source)
-    if not 0 <= target_index < len(source):
+    if target_index >= len(source):
         raise ValueError(f"target_index {target_index} outside source of length {len(source)}")
     if max(l_list) > len(source):
         raise TooLargeError(f"requested {max(l_list)} rows from a catalog of {len(source)}")
@@ -634,11 +650,11 @@ def run_mc_distances(
 def run_rescaled_density(
     out: Path,
     catalog: str,
-    k_max: int = 8,
-    bandwidth: float = 0.3,
-    n_analogs_dim: int = 40,
-    n_targets: int = 400,
-    exclusion_gap: int = 36,
+    k_max: Annotated[int, _at_least(1)] = 8,
+    bandwidth: Annotated[float, _positive_finite] = 0.3,
+    n_analogs_dim: Annotated[int, _at_least(3)] = 40,
+    n_targets: Annotated[int, _at_least(2)] = 400,
+    exclusion_gap: Annotated[int, _at_least(0)] = 36,
     seed: int = 0,
 ) -> ExperimentResult:
     """Pool rescaled analog-distance fluctuations over targets, rank by rank.
@@ -648,12 +664,8 @@ def run_rescaled_density(
     pooled u_k densities are then compared with the closed-form fluctuation
     law evaluated at the mean fitted dimension.
     """
-    _check_bandwidths(bandwidth=bandwidth)
-    _check_counts(1, k_max=k_max)
-    if n_analogs_dim < max(3, k_max):
+    if n_analogs_dim < k_max:
         raise ValueError("n_analogs_dim must be >= max(3, k_max)")
-    _check_counts(2, n_targets=n_targets)
-    _check_counts(0, exclusion_gap=exclusion_gap)
     cat = load_catalog(catalog)
 
     rng = np.random.default_rng(seed)
@@ -758,17 +770,16 @@ def run_dmax_scan(
 def run_cluster(
     out: Path,
     catalog: str,
-    n_eof: int = 50,
-    candidates: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8),
-    seeds_per_candidate: int = 5,
+    n_eof: Annotated[int, _at_least(1)] = 50,
+    candidates: Annotated[
+        tuple[Annotated[int, _at_least(1)], ...], _nonempty
+    ] = (1, 2, 3, 4, 5, 6, 7, 8),
+    seeds_per_candidate: Annotated[int, _at_least(1)] = 5,
     covariance: str = "full",
     standardize: bool = False,
     seed: int = 0,
 ) -> ExperimentResult:
     """EOF-reduce a catalog, select a mixture size by BIC, assign clusters."""
-    _check_counts(1, n_eof=n_eof, seeds_per_candidate=seeds_per_candidate)
-    if not candidates or min(candidates) < 1:
-        raise ValueError(f"candidates must be a non-empty list of counts >= 1, got {list(candidates)}")
     cat = load_catalog(catalog)
     basis = eof_fit(cat.states, n_eof)
     features = project(basis, cat.states)
@@ -825,12 +836,12 @@ def run_cluster(
 def run_dim_stats(
     out: Path,
     catalog: str,
-    n_analogs: int = 40,
-    exclusion_gap: int = 36,
-    n_targets: int = 2000,
-    steps_per_day: int = 24,
-    smooth_window_days: float = 80,
-    hist_bins: int = 40,
+    n_analogs: Annotated[int, _at_least(3)] = 40,
+    exclusion_gap: Annotated[int, _at_least(0)] = 36,
+    n_targets: Annotated[int, _at_least(2)] = 2000,
+    steps_per_day: Annotated[int, _at_least(1)] = 24,
+    smooth_window_days: Annotated[float, _positive_finite] = 80,
+    hist_bins: Annotated[int, _at_least(1)] = 40,
 ) -> ExperimentResult:
     """Local-dimension series over a catalog with daily/weekly statistics.
 
@@ -840,13 +851,6 @@ def run_dim_stats(
     whose sigma is a quarter of smooth_window_days), weekly 10-90 %
     quantile spreads, and a histogram.
     """
-    _check_counts(2, n_targets=n_targets)
-    _check_counts(3, n_analogs=n_analogs)
-    _check_counts(1, steps_per_day=steps_per_day)
-    if not (math.isfinite(smooth_window_days) and smooth_window_days > 0.0):
-        raise ValueError(f"smooth_window_days must be finite and > 0, got {smooth_window_days:g}")
-    _check_counts(1, hist_bins=hist_bins)
-    _check_counts(0, exclusion_gap=exclusion_gap)
     cat = load_catalog(catalog)
 
     picks = np.unique(np.linspace(0, len(cat) - 1, min(n_targets, len(cat))).round().astype(np.int64))
@@ -854,11 +858,11 @@ def run_dim_stats(
     dims = estimate_local_dimension(distances)
     tvals = cat.times[picks]
 
+    # First, so that bins too many to allocate leave no file written.
+    density, edges = np.histogram(dims, bins=hist_bins, density=True)
     dims_csv = write_csv(
         out / "dims.csv", "dim-series", {"target": picks, "time": tvals, "dim": dims}
     )
-
-    density, edges = np.histogram(dims, bins=hist_bins, density=True)
     hist_cols = {"bin_center": 0.5 * (edges[:-1] + edges[1:]), "density": density}
     hist_csv = write_csv(out / "hist.csv", "dim-histogram", hist_cols)
 
@@ -909,7 +913,8 @@ def run_rerun(manifest_path, out=None) -> tuple[ExperimentResult, dict[str, bool
     manifest). Returns the fresh result plus, per recorded output, whether
     the regenerated file matches the recorded SHA-256. Recorded parameters
     that do not bind to the driver's signature (an unknown or missing name,
-    or a value that does not coerce) raise FormatError before it runs.
+    or a value that does not coerce or lies outside its domain) raise
+    FormatError before it runs.
     """
     manifest_path = Path(manifest_path)
     recorded = load_manifest(manifest_path)

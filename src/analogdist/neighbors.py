@@ -244,7 +244,9 @@ class NeighborIndex:
         gap = max(gap, 1)
         states, times = self.catalog.states, self.catalog.times
         rows = np.asarray(rows)
-        out = np.empty((len(rows), n_analogs))
+        # A row is written only once it has n_analogs <= L analogs, so a
+        # larger request raises NotEnoughAnalogsError, not a MemoryError.
+        out = np.empty((len(rows), min(n_analogs, self.catalog.length)))
         # As in query: the prefix holds the n_analogs nearest admissible rows.
         m = min(n_analogs + 2 * gap - 1, self.catalog.length)
         # Per target row the scan's norm form holds L doubles, and the tree's

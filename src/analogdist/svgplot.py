@@ -80,6 +80,15 @@ def _linear_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return ticks
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """The ends of a zero span moved apart by 0.5, or by one ulp where 0.5
+    would not move them, and kept within the finite doubles."""
+    if hi != lo:
+        return lo, hi
+    width = max(0.5, math.ulp(lo))
+    return max(lo - width, -sys.float_info.max), min(hi + width, sys.float_info.max)
+
+
 def _fraction(v: float, start: float, end: float) -> float:
     """(v - start) / (end - start): where far-apart finite ends make the
     span overflow, every term is halved first, so the result stays finite."""
@@ -148,12 +157,8 @@ def line_plot(
 
     xs = [p[0] for pts in series.values() for p in pts]
     ys = [p[1] for pts in series.values() for p in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    x_lo, x_hi = _widen(min(xs), max(xs))
+    y_lo, y_hi = _widen(min(ys), max(ys))
     pad = 0.05 * (y_hi - y_lo)
     if math.isinf(pad):  # the span overflows: take it from halved ends
         pad = 0.1 * (y_hi / 2 - y_lo / 2)

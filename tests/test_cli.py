@@ -11,6 +11,7 @@ import subprocess
 import sys
 from importlib import metadata
 from pathlib import Path
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from analogdist import __version__, clustering, experiments
 from analogdist.catalog import Catalog, load_catalog, save_catalog
 from analogdist.cli import _float_list, _int_list, build_parser, main
 from analogdist.errors import CovarianceCollapseError
-from analogdist.manifest import file_sha256
+from analogdist.manifest import build_manifest, file_sha256, save_manifest
 from analogdist.neighbors import NeighborIndex
 from csvcols import read_columns
 
@@ -124,6 +125,11 @@ def test_pipeline_steps_bind_to_their_runners(script):
         kwargs = vars(build_parser().parse_args(argv))
         runner = experiments.RUNNERS[kwargs.pop("command")][0]
         inspect.signature(runner).bind(**kwargs)
+
+
+# Settings checked by a driver body or its library call, after `out` is
+# created; every other bad setting is rejected when the call is bound.
+_CHECKED_AFTER_BINDING = {"dimension", "noise", "dt", "epsilon", "rho_bar"}
 
 
 class TestExitCodes:
@@ -243,8 +249,8 @@ class TestExitCodes:
         out = tmp_path / "theory"
         code = main(["theory-curves", "--d-list", f"2,{d}", "--out", str(out)])
         assert code == 2
-        assert f"dimension must be positive, got d={float(d):g}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert f"d_list must be a positive finite number, got {float(d):g}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra,message",
@@ -296,7 +302,7 @@ class TestExitCodes:
             (["cluster", "--catalog", "CAT", "--n-eof", "0"], "n_eof"),
             (["cluster", "--catalog", "CAT", "--seeds", "0"], "seeds_per_candidate"),
             (["cluster", "--catalog", "CAT", "--candidates", "0,2"], "candidates"),
-            (["theory-curves", "--d-list", "2,inf"], "dimension"),
+            (["theory-curves", "--d-list", "2,inf"], "d_list"),
             # Finite, but every density value on the grid underflows to zero.
             (["theory-curves", "--d-list", "1e300", "--k-list", "1", "--grid-points", "8"],
              "dimension"),
@@ -311,6 +317,10 @@ class TestExitCodes:
             (["dmax-scan", "--catalog", "CAT", "--k-list", "1,5", "--epsilon", "0.4",
               "--rho-bar", "inf"], "rho_bar"),
             (["dim-stats", "--catalog", "CAT", "--n-targets", "1", "--K", "10"], "n_targets"),
+            # At the default L, L^(1/d) (d = 0.01) or its square (d = 0.02)
+            # is beyond the doubles.
+            (["theory-curves", "--d-list", "2,0.01"], "dimension"),
+            (["theory-curves", "--d-list", "0.02", "--k-list", "1"], "dimension"),
         ],
         ids=["grid-points-0", "bandwidth-0", "bandwidth-nan", "bw-rho-0", "bw-rescaled-inf",
              "smooth-window-days-0", "smooth-window-days-inf", "hist-bins-0", "dim-stats-K-2",
@@ -319,7 +329,7 @@ class TestExitCodes:
              "cluster-seeds-0", "cluster-candidate-0", "d-list-inf", "d-list-huge",
              "gen-surrogate-noise-nan", "gen-surrogate-noise-inf", "gen-l63-dt-nan",
              "gen-l63-dt-inf", "dmax-scan-epsilon-inf", "dmax-scan-rho-bar-inf",
-             "dim-stats-n-targets-1"],
+             "dim-stats-n-targets-1", "d-list-0.01", "d-list-0.02"],
     )
     def test_bad_setting_exits_2_before_writing(self, argv, parameter, tiny_catalog, tmp_path,
                                                 capsys):
@@ -333,6 +343,46 @@ class TestExitCodes:
         argv = [str(tiny_catalog) if a == "CAT" else a for a in argv]
         assert main([*argv, "--out", str(dest)]) == 2
         assert f"{parameter} must be" in capsys.readouterr().err
+        if parameter in _CHECKED_AFTER_BINDING:
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
+
+    @pytest.mark.skipif(
+        Path("/proc/sys/vm/overcommit_memory").is_file()
+        and Path("/proc/sys/vm/overcommit_memory").read_text().strip() == "1",
+        reason="with overcommit always on, a terabyte request is granted and then filled",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit-target", "--catalog", "CAT", "--target-index", "10", "--K", "100000000000"],
+            ["dim-stats", "--catalog", "CAT", "--K", "100000000000"],
+            ["rescaled-density", "--catalog", "CAT", "--K-dim", "100000000000"],
+            ["theory-curves", "--grid-points", "1000000000000"],
+            ["dim-stats", "--catalog", "CAT", "--hist-bins", "100000000000"],
+            ["gen-l63", "--n", "100000000000"],
+            ["dmax-scan", "--catalog", "CAT", "--epsilon", "0.4", "--k-list", "1,5",
+             "--rmsd-pairs", "100000000000"],
+        ],
+        ids=["fit-target-K", "dim-stats-K", "rescaled-density-K-dim", "theory-curves-grid-points",
+             "dim-stats-hist-bins", "gen-l63-n", "dmax-scan-rmsd-pairs"],
+    )
+    def test_oversized_request_exits_2_before_writing(self, argv, tiny_catalog, tmp_path, capsys):
+        # An analog count above the catalog's length is refused, with the
+        # count the catalog can give, before an array that wide is made; each
+        # other request asks for 0.7 to 7 TiB at once, which numpy refuses.
+        out = tmp_path / "out"
+        dest = out
+        if experiments.RUNNERS[argv[0]][1] == "file":
+            out.mkdir()
+            dest = out / "cat.anacat"
+        argv = [str(tiny_catalog) if a == "CAT" else a for a in argv]
+        assert main([*argv, "--out", str(dest)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if "--K" in argv or "--K-dim" in argv:
+            assert "requested 100000000000 analogs but only" in err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
@@ -356,7 +406,7 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == 2
         assert "exclusion_gap must be >= 0, got -1" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -365,9 +415,9 @@ class TestExitCodes:
             (["cluster", "--catalog", "absent.anacat", "--seeds", "0"],
              "seeds_per_candidate must be >= 1, got 0"),
             (["cluster", "--catalog", "absent.anacat", "--candidates", "0,2"],
-             "candidates must be a non-empty list of counts >= 1, got [0, 2]"),
+             "candidates must be >= 1, got 0"),
             (["cluster", "--catalog", "absent.anacat", "--candidates", ""],
-             "candidates must be a non-empty list of counts >= 1, got []"),
+             "candidates must not be empty"),
             # A sub-catalog of K rows that holds the target has only K - 1 analogs.
             (["mc-distances", "--catalog-source", "absent.anacat", "--L-list", "200,20",
               "--K-dim", "20", "--k-markers", "1,5"],
@@ -388,7 +438,10 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        if argv[0] == "mc-distances":  # l_list is checked against n_analogs_dim in the body
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
 
     def test_mc_distances_size_above_the_source_exits_2_before_any_search(
         self, tiny_catalog, tmp_path, monkeypatch, capsys
@@ -552,6 +605,127 @@ class TestRerunCommand:
         code = main(["rerun", str(out / "manifest.json"), "--out", str(tmp_path / "again")])
         assert code == 0
         assert (tmp_path / "again" / "curves.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# parameter domains, declared in the driver signatures
+
+
+def _base(kind):
+    """The type under an annotation's Annotated, optional and tuple layers."""
+    args = get_args(kind)
+    return _base(args[0]) if args else kind
+
+
+def _outside(kind) -> list:
+    """One value just outside each domain check an annotation carries."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        return [(v,) for v in _outside(args[0])]
+    if origin is not Annotated:
+        return []
+    values = _outside(args[0])
+    for check in args[1:]:
+        if isinstance(check, experiments._at_least):
+            values.append(check.floor - 1)
+        elif check is experiments._positive_finite:
+            values.append(0.0)
+        elif check is experiments._nonempty:
+            values.append(())
+    return values
+
+
+def _signature(command):
+    return inspect.signature(experiments.RUNNERS[command][0], eval_str=True).parameters
+
+
+# Required arguments other than the one under test; no catalog is ever read.
+_REQUIRED = {"catalog": "absent.anacat", "catalog_source": "absent.anacat", "target_index": 0}
+_OUTSIDE = [
+    (command, name, value)
+    for command in sorted(experiments.RUNNERS)
+    for name, param in _signature(command).items()
+    for value in _outside(param.annotation)
+]
+
+
+def _cli_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+_OUTSIDE_IDS = [f"{c}-{n}-{_cli_text(v) or 'empty'}" for c, n, v in _OUTSIDE]
+
+
+def _flag(command, dest) -> str:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices[command]._actions if a.dest == dest).option_strings[0]
+
+
+def _unread(path):
+    raise AssertionError(f"read the catalog {path}")
+
+
+@pytest.mark.parametrize("command,parameter,value", _OUTSIDE, ids=_OUTSIDE_IDS)
+def test_value_outside_its_domain_exits_2_when_the_call_is_bound(
+    command, parameter, value, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(experiments, "load_catalog", _unread)
+    given = {**{n: _REQUIRED[n] for n, p in _signature(command).items()
+                if p.default is p.empty and n != "out"}, parameter: value}
+    argv = [command]
+    for name, v in given.items():
+        argv += [_flag(command, name), _cli_text(v)]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {parameter} must ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,parameter,value", _OUTSIDE, ids=_OUTSIDE_IDS)
+def test_rerun_of_a_value_outside_its_domain_exits_4_before_anything_runs(
+    command, parameter, value, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(experiments, "load_catalog", _unread)
+    recorded = {n: _REQUIRED.get(n) if p.default is p.empty else p.default
+                for n, p in _signature(command).items()}
+    recorded.update({"out": "out", parameter: value})
+    manifest_path = tmp_path / "manifest.json"
+    save_manifest(build_manifest(command, recorded, [], base_dir=tmp_path), manifest_path)
+    again = tmp_path / "again"
+    assert main(["rerun", str(manifest_path), "--out", str(again)]) == 4
+    assert f"manifest parameters do not coerce: {parameter} must " in capsys.readouterr().err
+    assert not again.exists()
+
+
+# Integer and float parameters whose annotation declares no domain (an
+# _at_least or _positive_finite check on the value or on each element),
+# with the reason.
+_NO_DOMAIN_COMMANDS = {
+    # Their library calls check every setting before a file is written.
+    "gen-l63", "gen-surrogate", "dmax-scan",
+}
+_NO_DOMAIN = {
+    # Seeds, which numpy's generators check.
+    ("mc-distances", "seed"), ("rescaled-density", "seed"), ("cluster", "seed"),
+    # DistParams checks each rank against the catalog size before the tables
+    # are written.
+    ("theory-curves", "k_list"), ("theory-curves", "catalog_size"),
+    # Each size must exceed n_analogs_dim, checked in the body before the
+    # catalog is read.
+    ("mc-distances", "l_list"),
+}
+
+
+def test_every_count_and_setting_declares_its_domain():
+    # An empty tuple is outside only a list's _nonempty, not a value's domain.
+    undeclared = {
+        (command, name)
+        for command in experiments.RUNNERS if command not in _NO_DOMAIN_COMMANDS
+        for name, param in _signature(command).items()
+        if _base(param.annotation) in (int, float)
+        and all(v == () for v in _outside(param.annotation))
+    }
+    assert undeclared == _NO_DOMAIN
 
 
 def test_console_script_registered(tmp_path):

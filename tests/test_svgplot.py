@@ -237,6 +237,26 @@ def test_span_beyond_the_double_range_draws_finite_ends(table):
         assert line.get("points") == _polylines(unit)[0].get("points")
 
 
+@pytest.mark.parametrize("value", [1e16, sys.float_info.max, -sys.float_info.max],
+                         ids=["1e16", "largest", "most-negative"])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_constant_column_beyond_a_half_ulp_draws_finite_ends(axis, value):
+    # Widening by 0.5 would not move these ends; by one ulp it does, and
+    # at the largest doubles the widened end is clamped to stay finite.
+    pair = [value, value]
+    table = {"x": pair, "y": [0.0, 1.0]} if axis == "x" else {"x": [0.0, 1.0], "y": pair}
+    svg = line_plot(table, "x", "y")
+    (line,) = _polylines(svg)
+    points = [tuple(float(v) for v in p.split(",")) for p in line.get("points").split()]
+    assert all(68.0 <= x <= 704.0 and 34.0 <= y <= 388.0 for x, y in points)
+    ticks = [float(t) for t in _texts(svg) if _is_number(t)]
+    assert len(ticks) >= 4 and all(math.isfinite(t) for t in ticks)
+    constant = {px if axis == "x" else py for px, py in points}
+    assert len(constant) == 1
+    if abs(value) < sys.float_info.max:
+        assert constant == ({386.0} if axis == "x" else {211.0})
+
+
 def test_span_below_the_smallest_step_gets_its_end_ticks():
     # A span of one subnormal divides to 0, which has no logarithm: the
     # axis is labelled at its two ends instead of raising ValueError.
