@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from ._kstwo import kstwo_sf
+
 __all__ = [
     "gaussian_kde",
     "ks_distance",
@@ -57,15 +59,16 @@ def ks_distance(samples, cdf) -> float:
 
 
 def ks_test(samples, cdf) -> tuple[float, float]:
-    """KS statistic plus its (exact one-sample) p-value."""
+    """KS statistic plus its exact one-sample p-value, Pr(D_n >= d).
+
+    The p-value is `scipy.stats.kstwo.sf(d, n)` to the bit, computed by a
+    port of SciPy's method (`_kstwo`) that needs only `scipy.special`;
+    loading `scipy.stats` would cost every `mc-distances` run more time and
+    memory than its own work. A NaN statistic gives p = 0.
+    """
     n = len(np.asarray(samples).reshape(-1))
     d = ks_distance(samples, cdf)
-    # Loaded here, not at the top: scipy.stats would add about a second to
-    # the start-up of every CLI command, and only mc-distances calls this.
-    from scipy import stats
-
-    p = float(stats.kstwo.sf(d, n))
-    return d, min(1.0, max(0.0, p))
+    return d, min(1.0, max(0.0, kstwo_sf(d, n)))
 
 
 def wasserstein1(a, b) -> float:

@@ -20,7 +20,8 @@ class FormatError(AnalogDistError):
 
 
 class TooLargeError(AnalogDistError):
-    """Requested more rows than the source catalog holds."""
+    """Requested more rows than the source catalog holds, or an array larger
+    than the machine's physical memory."""
 
 
 class NotEnoughAnalogsError(AnalogDistError):

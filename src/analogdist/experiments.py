@@ -12,9 +12,9 @@ arguments, so re-running from a manifest reproduces every artifact bit for
 bit; a manifest whose parameters do not bind to the signature (unknown,
 missing, uncoercible or out of domain) raises FormatError before the driver
 runs. Monte Carlo work is spread over a thread pool (its large numpy calls
-release the GIL) but merged in catalog-index order, keeping results
-independent of the worker count; ANALOG_DIST_THREADS sets the pool size, at
-most MAX_WORKERS. The cluster command fits its candidate counts on as many
+release the GIL), each catalog filling its own row of one array sized up
+front, keeping results independent of the worker count;
+ANALOG_DIST_THREADS sets the pool size, at most MAX_WORKERS. The cluster command fits its candidate counts on as many
 forked processes instead: EM's many short numpy calls hold the GIL, and two
 threads running them at once on 2 cores made each call 1.9-3.5 times
 slower than one.
@@ -525,6 +525,16 @@ def run_mc_distances(
         raise ValueError("k_markers must lie within 1..n_analogs_dim")
     if not l_list or min(l_list) <= n_analogs_dim:
         raise ValueError(f"l_list must hold sizes > n_analogs_dim = {n_analogs_dim}, got {list(l_list)}")
+    # Sized before anything per catalog exists: a request beyond physical
+    # memory would otherwise grow until the process is killed from outside.
+    rows = len(l_list) * n_catalogs
+    need = rows * n_analogs_dim * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise TooLargeError(
+            f"{rows} catalogs of {n_analogs_dim} distances need {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     source = load_catalog(catalog_source)
     if target_index >= len(source):
         raise ValueError(f"target_index {target_index} outside source of length {len(source)}")
@@ -543,16 +553,23 @@ def run_mc_distances(
     place[ranked.indices] = np.arange(len(ranked))
     place[target_index] = len(ranked)
 
-    def one_catalog(job):
-        li, size, i = job
-        rng = np.random.default_rng(seed + li * n_catalogs + i)
-        places = place[rng.choice(len(source), size, replace=False)]
-        nearest = np.sort(np.partition(places, n_analogs_dim - 1)[:n_analogs_dim])
-        return ranked.distances[nearest]
+    # Row li * n_catalogs + i holds catalog i of size l_list[li], drawn from
+    # its own stream, so the rows do not depend on how the blocks are run.
+    all_dists = np.empty((rows, n_analogs_dim))
 
-    jobs = [(li, size, i) for li, size in enumerate(l_list) for i in range(n_catalogs)]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        all_dists = np.vstack(list(pool.map(one_catalog, jobs)))
+    def fill(block):
+        for row in block:
+            rng = np.random.default_rng(seed + row)
+            places = place[rng.choice(len(source), l_list[row // n_catalogs], replace=False)]
+            nearest = np.sort(np.partition(places, n_analogs_dim - 1)[:n_analogs_dim])
+            all_dists[row] = ranked.distances[nearest]
+
+    # A few strided blocks per worker, not a task per catalog: a task object
+    # outweighs the row it fills, and striding mixes the sizes in each block.
+    workers = worker_count()
+    blocks = 4 * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(fill, [range(b, rows, blocks) for b in range(blocks)]))
     all_dims = estimate_local_dimension(all_dists)
 
     # One exponent for everything downstream: the pooled mean keeps the KS

@@ -7,6 +7,7 @@ import argparse
 import importlib.util
 import inspect
 import json
+import os
 import subprocess
 import sys
 from importlib import metadata
@@ -384,6 +385,29 @@ class TestExitCodes:
         if "--K" in argv or "--K-dim" in argv:
             assert "requested 100000000000 analogs but only" in err
         assert list(out.iterdir()) == []
+
+    def test_mc_distances_beyond_physical_memory_exits_2_naming_the_size(self, tiny_catalog, tmp_path):
+        # 1e15 catalogs of 20 float64 distances is 1.6e17 bytes, beyond any
+        # machine's memory. The child caps its own address space at 2 GiB, so
+        # code that builds an object per catalog before sizing the request
+        # fails within that cap instead of growing until the host runs out.
+        out = tmp_path / "mc"
+        argv = ["mc-distances", "--catalog-source", str(tiny_catalog), "--L-list", "200",
+                "--n-catalogs", str(10**15), "--K-dim", "20", "--k-markers", "1,5", "--out", str(out)]
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from analogdist.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 2, run.stderr
+        assert run.stderr.startswith(f"error: {10**15} catalogs of 20 distances need ")
+        assert run.stderr.rstrip().endswith("GiB of physical memory")
+        assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

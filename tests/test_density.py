@@ -5,7 +5,11 @@ KS statistic has small hand-checkable cases plus scipy as an independent
 implementation, and W1 is cross-checked against scipy's wasserstein_distance.
 """
 
+import ast
+import collections
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
+from analogdist import _kstwo, density
 from analogdist.density import (
     gaussian_kde,
     gaussian_smooth,
@@ -132,6 +137,116 @@ def test_ks_invariant_under_monotone_transform():
 def test_ks_distance_empty():
     with pytest.raises(ValueError):
         ks_distance([], lambda x: x)
+
+
+# (n, d) pairs that reach every path of the ported survival function; the
+# id names the path. n d^2 decides among the exact and asymptotic methods.
+_KS_PATHS = {
+    "nan": (5, math.nan),
+    "negative": (5, -0.25),
+    "zero": (5, 0.0),
+    "one": (5, 1.0),
+    "above-one": (5, 1.5),
+    "support-end": (10, 0.05),
+    # Above 1/(2n) = 0.16666666666666666, yet 3 d rounds to exactly 0.5.
+    "nd-rounds-to-half": (3, 0.16666666666666669),
+    "ruben-gambino-low-n10": (10, 0.08),
+    "ruben-gambino-low-n140": (140, 0.007),
+    "ruben-gambino-low-n141": (141, 0.007),
+    "ruben-gambino-low-n2000": (2000, 0.0004),
+    "ruben-gambino-high-n1": (1, 0.7),
+    "ruben-gambino-high-n2": (2, 0.75),
+    "ruben-gambino-high-n10": (10, 0.95),
+    "smirnov-exact-n10": (10, 0.6),
+    "smirnov-exact-n1000": (1000, 0.5),
+    "dmtw-n100": (100, 0.05),
+    "dmtw-n140": (140, 0.05),
+    "pomeranz-n20": (20, 0.3),
+    "pomeranz-n100": (100, 0.15),
+    "pomeranz-n140": (140, 0.1),
+    "miller-n100": (100, 0.3),
+    "miller-n140": (140, 0.2),
+    "zero-tail-n2000": (2000, 0.45),
+    "zero-tail-n5000": (5000, 0.3),
+    "smirnov-tail-n141": (141, 0.2),
+    "smirnov-tail-n1000": (1000, 0.05),
+    "dmtw-n141": (141, 0.04),
+    "dmtw-n1000": (1000, 0.01),
+    "dmtw-n5000": (5000, 0.004),
+    # The matrix power and n!/n^n leave a net long-double rescaling to undo.
+    "dmtw-unscaled-n100000": (100_000, 0.0003),
+    # n d^1.5 is 1.4 within rounding: a 0-d array rounds it to at most 1.4
+    # (DMTW, as SciPy does), a float to just above (Pelz-Good).
+    "dmtw-at-the-pelz-good-edge-n155": (155, 0.043370812512879386),
+    "pelz-good-n141": (141, 0.05),
+    "pelz-good-n1000": (1000, 0.02),
+    "pelz-good-n200000": (200_000, 0.002),
+    "pelz-good-underflow-n1000000": (1_000_000, 2e-6),
+}
+
+
+def _bits(value: float) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _ks_p_for(monkeypatch, n: int, d: float) -> float:
+    """ks_test's p-value for n samples whose statistic is exactly d."""
+    monkeypatch.setattr(density, "ks_distance", lambda samples, cdf: d)
+    return ks_test(np.zeros(n), None)[1]
+
+
+@pytest.mark.parametrize("n,d", _KS_PATHS.values(), ids=_KS_PATHS.keys())
+def test_ks_p_value_equals_scipy_kstwo_bit_for_bit(monkeypatch, n, d):
+    expected = min(1.0, max(0.0, float(stats.kstwo.sf(d, n))))
+    assert _bits(_ks_p_for(monkeypatch, n, d)) == _bits(expected)
+
+
+def test_ks_p_value_equals_scipy_kstwo_on_random_pairs(monkeypatch):
+    rng = np.random.default_rng(26)
+    ns = np.unique(np.rint(np.exp(rng.uniform(0.0, math.log(5000), 120)))).astype(int)
+    mismatched = []
+    for n in ns.tolist():
+        for d in [*rng.uniform(0.0, 1.0, 2), *rng.uniform(0.0, 3.0 / math.sqrt(n), 2),
+                  1.0 / n, 1.0 - 1.0 / n]:
+            expected = min(1.0, max(0.0, float(stats.kstwo.sf(d, n))))
+            if _bits(_ks_p_for(monkeypatch, n, d)) != _bits(expected):
+                mismatched.append((n, d))
+    assert mismatched == []
+
+
+def _statement_lines(module) -> set[int]:
+    """First line of every statement inside the functions of module."""
+    tree = ast.parse(inspect.getsource(module))
+    lines = set()
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            body = fn.body[1:] if ast.get_docstring(fn) else fn.body
+            lines |= {node.lineno for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.stmt)}
+    return lines
+
+
+def test_ks_path_grid_runs_every_statement_of_the_port():
+    # A grid that misses a path fails here: each statement of _kstwo,
+    # including the long-double rescaling steps, must run at least once.
+    source = _kstwo.__file__
+    hits = collections.Counter()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != source:
+            return None
+        if event == "line":
+            hits[frame.f_lineno] += 1
+        return trace
+
+    sys.settrace(trace)
+    try:
+        for n, d in _KS_PATHS.values():
+            _kstwo.kstwo_sf(d, n)
+    finally:
+        sys.settrace(None)
+    missed = sorted(_statement_lines(_kstwo) - set(hits))
+    assert missed == [], [inspect.getsource(_kstwo).splitlines()[i - 1].strip() for i in missed]
 
 
 # ---------------------------------------------------------------------------

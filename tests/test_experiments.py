@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import sys
 import xml.etree.ElementTree as ET
 from itertools import permutations, product
 from pathlib import Path
@@ -179,12 +180,19 @@ class TestWorkerCount:
     ids=["cluster-full", "cluster-diag", "mc-distances"],
 )
 def test_outputs_do_not_depend_on_worker_count(run, small_l63, small_surrogate, tmp_path, monkeypatch):
+    # More workers than cores, switching threads often: a row written to the
+    # wrong place or lost would change a hash.
     hashes = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("ANALOG_DIST_THREADS", threads)
-        result = run(tmp_path / threads, small_l63, small_surrogate)
-        hashes.append({p.name: file_sha256(p) for p in result.outputs})
-    assert hashes[0] == hashes[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "2", "5"):
+            monkeypatch.setenv("ANALOG_DIST_THREADS", threads)
+            result = run(tmp_path / threads, small_l63, small_surrogate)
+            hashes.append({p.name: file_sha256(p) for p in result.outputs})
+    finally:
+        sys.setswitchinterval(interval)
+    assert hashes[0] == hashes[1] == hashes[2]
     assert len(hashes[0]) >= 4
 
 
