@@ -1,5 +1,8 @@
 """Command-line entry point: one subcommand per experiment driver.
 
+Subcommands are generated from the driver signatures, and option text is
+read by the rule that binding applies to a manifest's values.
+
 Exit codes follow a fixed convention so scripts can branch on failures:
 0 success, 2 invalid arguments or request (including argparse errors and
 a request too large to allocate), 3 numeric failure (diverging
@@ -10,7 +13,9 @@ file-format trouble.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from typing import Annotated, get_args, get_origin
 
 from . import __version__, experiments
 from .errors import (
@@ -31,34 +36,83 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _int(text: str) -> int:
-    """One integer; scientific notation like 1e5 is accepted when integral."""
-    try:
-        value = float(text)
-        if value.is_integer():
-            return int(value)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+# Flags other than the dashed keyword; a (command, keyword) entry comes first.
+_FLAGS = {"catalog_size": "--L", "l_list": "--L-list", "l_eff": "--L-eff", "n_analogs": "--K",
+          "n_analogs_dim": "--K-dim", "seeds_per_candidate": "--seeds",
+          ("mc-distances", "target_index"): "--target"}
+
+_OUT_HELP = {"file": "output .anacat path", "dir": "output directory"}
+
+_HELP = {
+    "n": "number of stored states",
+    "dt": "integration step",
+    "burn_in": "discarded initial steps",
+    "stride": "steps between stored samples",
+    "seed": "random seed",
+    "modes": "number of independent phases",
+    "grid": "spatial grid points per component",
+    "noise": "additive noise std",
+    "components": "stacked field components",
+    "decay": "geometric mode-amplitude decay",
+    "k_list": "distinct analog ranks",
+    "d_list": "dimensions",
+    "catalog_size": "catalog size entering the law",
+    "catalog": ".anacat file",
+    "catalog_source": "large .anacat to subsample",
+    "n_analogs": "analogs per target",
+    "n_analogs_dim": "analogs per target for the dimension estimate",
+    "exclusion_gap": "temporal exclusion half-window",
+    "l_list": "catalog sizes",
+    "n_catalogs": "catalogs per size",
+    "k_markers": "distinct ranks whose rescaled distances are tested",
+    "bw_dim": "KDE bandwidth, dimension panel",
+    "bw_rho": "KDE bandwidth, rescaling panel",
+    "bw_rescaled": "KDE bandwidth, rescaled panel",
+    "k_max": "largest rank to pool",
+    "bandwidth": "KDE bandwidth",
+    "epsilon": "tolerated mean rank-k distance as a fraction of RMSD",
+    "eof_counts": "EOF truncations to test",
+    "l_eff": "effective decorrelated catalog size (default: length/24)",
+    "rho_bar": "typical density rescaling",
+    "n_eof": "EOF components kept",
+    "candidates": "mixture sizes to score",
+    "seeds_per_candidate": "EM restarts per candidate",
+    "covariance": "full or diag",
+    "standardize": "scale projected components to unit variance before fitting",
+    "steps_per_day": "catalog time steps per day",
+    "smooth_window_days": "Gaussian smoothing window (sigma = window/4)",
+}
 
 
-def _int_list(text: str) -> list[int]:
-    """Comma-separated integers, each parsed as by _int."""
-    return [_int(tok) for tok in text.split(",") if tok.strip()]
+@functools.cache
+def _text_parser(kind):
+    """The argparse type of a parameter annotated `kind`: experiments._coerce,
+    the rule that reads a manifest's values, with the domain checks left to
+    binding; a `tuple[T, ...]` takes comma-separated items and gives a list."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is Annotated or type(None) in args:
+        return _text_parser(args[0])
+    if origin is tuple:
+        item = _text_parser(args[0])
+        return lambda text: [item(tok) for tok in text.split(",") if tok.strip()]
 
+    def parse(text: str):
+        try:
+            return experiments._coerce(kind, text)
+        except ValueError:
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}") from None
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per entry of experiments.RUNNERS, plus rerun.
 
-    Each option's dest is the runner's keyword, and an option left out is
-    left out of the call, so every default lives once, in the runner.
+    Each is generated from the driver's signature: one option per keyword,
+    `--out` last, with the keyword as dest, required exactly where the
+    keyword has no default; a bool is a switch. An option left out is left
+    out of the call, so every default lives once, in the driver.
     """
     parser = argparse.ArgumentParser(
         prog="analogdist",
@@ -68,107 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"analogdist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name, help):
-        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    for command, (runner, kind) in experiments.RUNNERS.items():
+        g = sub.add_parser(command, help=runner.__doc__.partition("\n")[0],
+                           argument_default=argparse.SUPPRESS)
+        params = experiments._signature(runner).parameters
+        for param in sorted(params.values(), key=lambda p: p.name == "out"):
+            name = param.name
+            flag = _FLAGS.get((command, name)) or _FLAGS.get(name) or f"--{name.replace('_', '-')}"
+            help = _OUT_HELP[kind] if name == "out" else _HELP.get(name)
+            if param.annotation is bool:
+                g.add_argument(flag, dest=name, action="store_true", help=help)
+            else:
+                g.add_argument(flag, dest=name, type=_text_parser(param.annotation),
+                               required=param.default is param.empty, help=help)
 
-    g = command("gen-l63", "integrate the three-variable convection system into a catalog")
-    g.add_argument("--n", type=int, help="number of catalog states")
-    g.add_argument("--dt", type=float, help="integration step")
-    g.add_argument("--burn-in", type=int, help="discarded initial steps")
-    g.add_argument("--stride", type=int, help="steps between stored samples")
-    g.add_argument("--seed", type=int, help="jitter the initial condition")
-    g.add_argument("--out", required=True, help="output .anacat path")
-
-    g = command("gen-surrogate", "traveling-modes surrogate catalog with known dimension")
-    g.add_argument("--modes", type=int, required=True, help="number of independent phases")
-    g.add_argument("--grid", type=int, help="spatial grid points per component")
-    g.add_argument("--n", type=int, help="number of snapshots")
-    g.add_argument("--noise", type=float, help="additive noise std")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--components", type=int, help="stacked field components")
-    g.add_argument("--decay", type=float, help="geometric mode-amplitude decay")
-    g.add_argument("--out", required=True, help="output .anacat path")
-
-    g = command("theory-curves", "tabulate rank-distance densities and moment markers")
-    g.add_argument("--k-list", type=_int_list, help="distinct analog ranks")
-    g.add_argument("--d-list", type=_float_list, help="dimensions")
-    g.add_argument("--L", dest="catalog_size", type=_int, help="catalog size entering the law")
-    g.add_argument("--grid-points", type=int)
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("fit-target", "fit the distance power law at one catalog row")
-    g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--target-index", type=int, required=True)
-    g.add_argument("--K", dest="n_analogs", type=int, help="analogs used in the fit")
-    g.add_argument("--exclusion-gap", type=int, help="temporal exclusion half-window")
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("mc-distances", "distance statistics across independent random catalogs")
-    g.add_argument("--catalog-source", required=True, help="large .anacat to subsample")
-    g.add_argument("--L-list", dest="l_list", type=_int_list, help="comma-separated catalog sizes")
-    g.add_argument("--n-catalogs", type=int, help="catalogs per size")
-    g.add_argument("--target", dest="target_index", type=int, help="source row used as the target")
-    g.add_argument("--K-dim", dest="n_analogs_dim", type=int,
-                   help="analogs per catalog for the dimension estimate")
-    g.add_argument("--k-markers", type=_int_list,
-                   help="distinct ranks whose rescaled distances are tested")
-    g.add_argument("--bw-dim", type=float, help="KDE bandwidth, dimension panel")
-    g.add_argument("--bw-rho", type=float, help="KDE bandwidth, rescaling panel")
-    g.add_argument("--bw-rescaled", type=float, help="KDE bandwidth, rescaled panel")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("rescaled-density", "pooled rescaled-fluctuation densities per rank")
-    g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--k-max", type=int, help="largest rank to pool")
-    g.add_argument("--bandwidth", type=float, help="KDE bandwidth")
-    g.add_argument("--K-dim", dest="n_analogs_dim", type=int,
-                   help="analogs per target for the dimension fit")
-    g.add_argument("--n-targets", type=int)
-    g.add_argument("--exclusion-gap", type=int, help="temporal exclusion half-window")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("dmax-scan", "scan EOF truncations against the analog-quality criterion")
-    g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--epsilon", type=float, required=True,
-                   help="tolerated mean rank-k distance as a fraction of RMSD")
-    g.add_argument("--k-list", type=_int_list, help="distinct analog ranks")
-    g.add_argument("--eof-counts", type=_int_list, help="EOF truncations to test")
-    g.add_argument("--L-eff", dest="l_eff", type=_int,
-                   help="effective decorrelated catalog size (default: length/24)")
-    g.add_argument("--rho-bar", type=float, help="typical density rescaling")
-    g.add_argument("--K", dest="n_analogs", type=int,
-                   help="analogs per target for dimension estimates")
-    g.add_argument("--n-targets", type=int)
-    g.add_argument("--seed", type=int)
-    g.add_argument("--rmsd-pairs", type=int)
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("cluster", "EOF reduction plus BIC-selected Gaussian mixture")
-    g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--n-eof", type=int, help="EOF components kept")
-    g.add_argument("--candidates", type=_int_list, help="mixture sizes to score")
-    g.add_argument("--seeds", dest="seeds_per_candidate", type=int,
-                   help="EM restarts per candidate")
-    g.add_argument("--covariance", choices=("full", "diag"))
-    g.add_argument("--standardize", action="store_true",
-                   help="scale projected components to unit variance before fitting")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("dim-stats", "local-dimension series with daily/weekly statistics")
-    g.add_argument("--catalog", required=True, help=".anacat file")
-    g.add_argument("--K", dest="n_analogs", type=int, help="analogs per target")
-    g.add_argument("--exclusion-gap", type=int, help="temporal exclusion half-window")
-    g.add_argument("--n-targets", type=int)
-    g.add_argument("--steps-per-day", type=int, help="catalog time steps per day")
-    g.add_argument("--smooth-window-days", type=float,
-                   help="Gaussian smoothing window (sigma = window/4)")
-    g.add_argument("--hist-bins", type=int)
-    g.add_argument("--out", required=True, help="output directory")
-
-    g = command("rerun", "re-run an experiment from its manifest and verify hashes")
+    g = sub.add_parser("rerun", help="re-run an experiment from its manifest and verify hashes",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("manifest_path", metavar="manifest",
                    help="manifest.json written by a previous run")
     g.add_argument("--out", help="regenerate outputs here instead of in place")
@@ -195,19 +164,14 @@ def main(argv=None) -> int:
             print("error: regenerated outputs differ from the manifest", file=sys.stderr)
             return EXIT_NUMERIC
         return EXIT_OK
-    except (NonFiniteError, DegenerateDistancesError, CovarianceCollapseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # ValueError first: io.UnsupportedOperation, also an OSError, exits 2.
     except (TooLargeError, NotEnoughAnalogsError, DimensionMismatchError, ValueError,
             MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        error, code = exc, EXIT_VALIDATION
+    except (NonFiniteError, DegenerateDistancesError, CovarianceCollapseError,
+            ArithmeticError) as exc:
+        error, code = exc, EXIT_NUMERIC
+    except (FormatError, OSError) as exc:
+        error, code = exc, EXIT_IO
+    print(f"error: {error}", file=sys.stderr)
+    return code

@@ -22,6 +22,7 @@ slower than one.
 
 from __future__ import annotations
 
+import contextlib
 import csv as _csvmod
 import functools
 import inspect
@@ -207,13 +208,28 @@ def _positive_finite(value: float) -> float:
     return value
 
 
+@dataclass(frozen=True)
+class _one_of:
+    """A choice's domain: the value unchanged; one not among options raises ValueError."""
+
+    options: tuple
+
+    def __call__(self, value):
+        if value not in self.options:
+            raise ValueError(f"must be one of {list(self.options)}, got {value!r}")
+        return value
+
+
 def _coerce(kind, value):
-    """Convert one argument to its annotated type.
+    """Convert one argument to its annotated type: a call's, a manifest's or CLI text.
 
     Only `T | None` admits None; `tuple[T, ...]` takes any iterable but a
     string; `Annotated[T, f, ...]` applies each f in turn after converting
     to T. Each f returns its value or raises ValueError: the domain checks
-    above (on a tuple or on its element type), and `sorted` for ranks.
+    above (on a tuple or on its element type), and `sorted` for ranks. Only
+    bool takes a bool (numpy's too), and it takes nothing else. An int comes
+    from an integer, an integral float or text, read by int() first, so a
+    count above 2**53 stays exact, then by float() for forms like 1e5.
     """
     origin, args = get_origin(kind), get_args(kind)
     if type(None) in args:
@@ -229,13 +245,31 @@ def _coerce(kind, value):
         if isinstance(value, str):
             raise TypeError(f"string {value!r} where {inspect.formatannotation(kind)} is required")
         return tuple(_coerce(args[0], v) for v in value)
-    return kind(value)
+    if (kind is bool) != isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"must be of type {kind.__name__}, got {value!r}")
+    if kind is not int:
+        return kind(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            with contextlib.suppress(ValueError):
+                value = float(value)
+    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"must be an integer, got {value!r}")
+
+
+@functools.cache
+def _signature(func) -> inspect.Signature:
+    """A driver's signature with its annotations evaluated, once per driver."""
+    return inspect.signature(func, eval_str=True)
 
 
 def _arguments(func, *args, **kwargs) -> dict:
     """Bind a call to a driver's signature, with defaults, each argument coerced;
     a ValueError (a value outside its domain) comes back led by the parameter's name."""
-    signature = inspect.signature(func, eval_str=True)
+    signature = _signature(func)
     bound = signature.bind(*args, **kwargs)
     bound.apply_defaults()
     typed = {}
@@ -269,7 +303,7 @@ def _driver(command: str, kind: str):
     def register(body):
         @functools.wraps(body)
         def run(*args, **kwargs) -> ExperimentResult:
-            parameters = _arguments(body, *args, **kwargs)
+            parameters = _arguments(run, *args, **kwargs)
             out = parameters["out"]
             manifest_path = out / "manifest.json" if kind == "dir" else Path(f"{out}.manifest.json")
             manifest_path.parent.mkdir(parents=True, exist_ok=True)
@@ -742,8 +776,9 @@ def run_dmax_scan(
     seed: int = 0,
     rmsd_pairs: int = 50_000,
 ) -> ExperimentResult:
-    """Scan EOF truncations against the analog-quality criterion per rank,
-    all ranks in one scan. Records the EOF counts the catalog can hold."""
+    """Scan EOF truncations against the analog-quality criterion per rank.
+
+    All ranks share one scan. Records the EOF counts the catalog can hold."""
     data = load_catalog(catalog).states
     limit = min(data.shape[0], data.shape[1])
     eof_counts = tuple(sorted({c for c in eof_counts if 1 <= c <= limit}))
@@ -792,7 +827,7 @@ def run_cluster(
         tuple[Annotated[int, _at_least(1)], ...], _nonempty
     ] = (1, 2, 3, 4, 5, 6, 7, 8),
     seeds_per_candidate: Annotated[int, _at_least(1)] = 5,
-    covariance: str = "full",
+    covariance: Annotated[str, _one_of(("full", "diag"))] = "full",
     standardize: bool = False,
     seed: int = 0,
 ) -> ExperimentResult:
@@ -938,7 +973,7 @@ def run_rerun(manifest_path, out=None) -> tuple[ExperimentResult, dict[str, bool
     if recorded.command not in RUNNERS:
         raise ValueError(f"manifest names unknown command {recorded.command!r}")
     func, kind = RUNNERS[recorded.command]
-    expected, given = set(inspect.signature(func).parameters), set(recorded.parameters)
+    expected, given = set(_signature(func).parameters), set(recorded.parameters)
     if expected != given:
         raise FormatError(
             f"{recorded.command} manifest parameters do not bind: unknown "

@@ -19,7 +19,7 @@ import pytest
 
 from analogdist import __version__, clustering, experiments
 from analogdist.catalog import Catalog, load_catalog, save_catalog
-from analogdist.cli import _float_list, _int_list, build_parser, main
+from analogdist.cli import _text_parser, build_parser, main
 from analogdist.errors import CovarianceCollapseError
 from analogdist.manifest import build_manifest, file_sha256, save_manifest
 from analogdist.neighbors import NeighborIndex
@@ -33,6 +33,106 @@ def tiny_catalog(tmp_path):
     path = tmp_path / "tiny.anacat"
     experiments.run_gen_l63(path, n=400, burn_in=50, seed=9)
     return path
+
+
+# Each subcommand's (option string, dest, required) in order, as the
+# hand-written parser declared them before the options were generated from
+# the driver signatures.
+_FLAG_TABLE = {
+    'gen-l63': [
+        ('--n', 'n', False),
+        ('--dt', 'dt', False),
+        ('--burn-in', 'burn_in', False),
+        ('--stride', 'stride', False),
+        ('--seed', 'seed', False),
+        ('--out', 'out', True),
+    ],
+    'gen-surrogate': [
+        ('--modes', 'modes', True),
+        ('--grid', 'grid', False),
+        ('--n', 'n', False),
+        ('--noise', 'noise', False),
+        ('--seed', 'seed', False),
+        ('--components', 'components', False),
+        ('--decay', 'decay', False),
+        ('--out', 'out', True),
+    ],
+    'theory-curves': [
+        ('--k-list', 'k_list', False),
+        ('--d-list', 'd_list', False),
+        ('--L', 'catalog_size', False),
+        ('--grid-points', 'grid_points', False),
+        ('--out', 'out', True),
+    ],
+    'fit-target': [
+        ('--catalog', 'catalog', True),
+        ('--target-index', 'target_index', True),
+        ('--K', 'n_analogs', False),
+        ('--exclusion-gap', 'exclusion_gap', False),
+        ('--out', 'out', True),
+    ],
+    'mc-distances': [
+        ('--catalog-source', 'catalog_source', True),
+        ('--L-list', 'l_list', False),
+        ('--n-catalogs', 'n_catalogs', False),
+        ('--target', 'target_index', False),
+        ('--K-dim', 'n_analogs_dim', False),
+        ('--k-markers', 'k_markers', False),
+        ('--bw-dim', 'bw_dim', False),
+        ('--bw-rho', 'bw_rho', False),
+        ('--bw-rescaled', 'bw_rescaled', False),
+        ('--seed', 'seed', False),
+        ('--out', 'out', True),
+    ],
+    'rescaled-density': [
+        ('--catalog', 'catalog', True),
+        ('--k-max', 'k_max', False),
+        ('--bandwidth', 'bandwidth', False),
+        ('--K-dim', 'n_analogs_dim', False),
+        ('--n-targets', 'n_targets', False),
+        ('--exclusion-gap', 'exclusion_gap', False),
+        ('--seed', 'seed', False),
+        ('--out', 'out', True),
+    ],
+    'dmax-scan': [
+        ('--catalog', 'catalog', True),
+        ('--epsilon', 'epsilon', True),
+        ('--k-list', 'k_list', False),
+        ('--eof-counts', 'eof_counts', False),
+        ('--L-eff', 'l_eff', False),
+        ('--rho-bar', 'rho_bar', False),
+        ('--K', 'n_analogs', False),
+        ('--n-targets', 'n_targets', False),
+        ('--seed', 'seed', False),
+        ('--rmsd-pairs', 'rmsd_pairs', False),
+        ('--out', 'out', True),
+    ],
+    'cluster': [
+        ('--catalog', 'catalog', True),
+        ('--n-eof', 'n_eof', False),
+        ('--candidates', 'candidates', False),
+        ('--seeds', 'seeds_per_candidate', False),
+        ('--covariance', 'covariance', False),
+        ('--standardize', 'standardize', False),
+        ('--seed', 'seed', False),
+        ('--out', 'out', True),
+    ],
+    'dim-stats': [
+        ('--catalog', 'catalog', True),
+        ('--K', 'n_analogs', False),
+        ('--exclusion-gap', 'exclusion_gap', False),
+        ('--n-targets', 'n_targets', False),
+        ('--steps-per-day', 'steps_per_day', False),
+        ('--smooth-window-days', 'smooth_window_days', False),
+        ('--hist-bins', 'hist_bins', False),
+        ('--out', 'out', True),
+    ],
+}
+
+
+def _subparsers():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
 
 
 class TestParsing:
@@ -58,10 +158,10 @@ class TestParsing:
         assert err.value.code == 2
 
     def test_int_list_accepts_scientific_notation(self):
-        assert _int_list("1e5,2, 30") == [100_000, 2, 30]
+        assert _text_parser(tuple[int, ...])("1e5,2, 30") == [100_000, 2, 30]
         for text in ("a,b", "2.5", "1,2.9", "1e-1", "inf", "nan"):
             with pytest.raises(argparse.ArgumentTypeError):
-                _int_list(text)
+                _text_parser(tuple[int, ...])(text)
 
     @pytest.mark.parametrize(
         "argv",
@@ -83,9 +183,9 @@ class TestParsing:
         assert list(tmp_path.iterdir()) == []
 
     def test_float_list(self):
-        assert _float_list("1.5,2") == [1.5, 2.0]
+        assert _text_parser(tuple[float, ...])("1.5,2") == [1.5, 2.0]
         with pytest.raises(argparse.ArgumentTypeError):
-            _float_list("1.5;2")
+            _text_parser(tuple[float, ...])("1.5;2")
 
     def test_every_subcommand_is_runnable(self):
         parser = build_parser()
@@ -109,6 +209,46 @@ class TestParsing:
                 assert action.default is argparse.SUPPRESS, (command, action.dest)
             required = {a.dest for a in actions if a.required}
             assert required == {n for n, p in params.items() if p.default is p.empty}, command
+
+    def test_flags_match_the_recorded_table(self):
+        table = {
+            command: [(*a.option_strings, a.dest, a.required)
+                      for a in parser._actions if a.dest != "help"]
+            for command, parser in _subparsers().items() if command != "rerun"
+        }
+        assert table == _FLAG_TABLE
+
+    def test_a_new_driver_gets_its_subcommand_without_a_cli_edit(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        monkeypatch.setattr(experiments, "RUNNERS", dict(experiments.RUNNERS))
+
+        @experiments._driver("stub", "dir")
+        def run_stub(out: Path, size: int, ranks: tuple[int, ...] = (1,), loud: bool = False):
+            """Echo the settings."""
+            return [], [f"size={size} ranks={ranks} loud={loud}"]
+
+        stub = _subparsers()["stub"]
+        assert [(*a.option_strings, a.dest, a.required) for a in stub._actions][1:] == [
+            ("--size", "size", True), ("--ranks", "ranks", False), ("--loud", "loud", False),
+            ("--out", "out", True),
+        ]
+        out = tmp_path / "stub"
+        assert main(["stub", "--size", "1e3", "--ranks", "3,2", "--loud", "--out", str(out)]) == 0
+        assert "size=1000 ranks=(3, 2) loud=True" in capsys.readouterr().out
+        assert json.loads((out / "manifest.json").read_text())["parameters"] == {
+            "out": str(out), "size": 1000, "ranks": [3, 2], "loud": True,
+        }
+        with pytest.raises(SystemExit) as err:
+            main(["stub", "--out", str(out)])
+        assert err.value.code == 2
+        assert "--size" in capsys.readouterr().err
+
+    def test_integer_text_beyond_2_53_stays_exact(self, tmp_path):
+        out = tmp_path / "theory"
+        assert main(["theory-curves", "--k-list", "1", "--d-list", "2", "--grid-points", "32",
+                     "--L", "9007199254740993", "--out", str(out)]) == 0
+        recorded = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert recorded["catalog_size"] == 2**53 + 1
 
 
 @pytest.mark.parametrize(
@@ -161,12 +301,13 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
-    def test_collapsed_covariance_exits_3(self, tmp_path, monkeypatch, capsys):
+    def test_collapsed_covariance_exits_3(self, tiny_catalog, tmp_path, monkeypatch, capsys):
         def collapse(*args, **kwargs):
             raise CovarianceCollapseError("covariance collapsed during EM")
 
-        monkeypatch.setitem(experiments.RUNNERS, "cluster", (collapse, "dir"))
-        code = main(["cluster", "--catalog", "x.anacat", "--out", str(tmp_path)])
+        monkeypatch.setattr(experiments, "select_n_clusters", collapse)
+        code = main(["cluster", "--catalog", str(tiny_catalog), "--n-eof", "2",
+                     "--out", str(tmp_path)])
         assert code == 3
         assert "collapsed" in capsys.readouterr().err
 
@@ -656,6 +797,8 @@ def _outside(kind) -> list:
             values.append(0.0)
         elif check is experiments._nonempty:
             values.append(())
+        elif isinstance(check, experiments._one_of):
+            values.append("|".join(check.options))
     return values
 
 
@@ -719,6 +862,56 @@ def test_rerun_of_a_value_outside_its_domain_exits_4_before_anything_runs(
     assert main(["rerun", str(manifest_path), "--out", str(again)]) == 4
     assert f"manifest parameters do not coerce: {parameter} must " in capsys.readouterr().err
     assert not again.exists()
+
+
+@pytest.mark.parametrize(
+    "parameter,value",
+    [("n_eof", 2.7), ("standardize", "false"), ("n_eof", True)],
+    ids=["fraction-for-int", "text-for-bool", "bool-for-int"],
+)
+def test_rerun_of_a_value_of_another_type_exits_4_before_anything_runs(
+    parameter, value, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(experiments, "load_catalog", _unread)
+    recorded = {n: _REQUIRED.get(n) if p.default is p.empty else p.default
+                for n, p in _signature("cluster").items()}
+    recorded.update({"out": "out", parameter: value})
+    manifest_path = tmp_path / "manifest.json"
+    save_manifest(build_manifest("cluster", recorded, [], base_dir=tmp_path), manifest_path)
+    again = tmp_path / "again"
+    assert main(["rerun", str(manifest_path), "--out", str(again)]) == 4
+    assert f"manifest parameters do not coerce: {parameter} must be " in capsys.readouterr().err
+    assert not again.exists()
+
+
+# Required settings of every command, none of which is read while parsing.
+_GIVEN = {"catalog": "absent.anacat", "catalog_source": "absent.anacat", "target_index": "0",
+          "modes": "2", "epsilon": "0.4"}
+_INTEGER_OPTIONS = [
+    (command, name)
+    for command in sorted(experiments.RUNNERS)
+    for name, param in _signature(command).items()
+    if _base(param.annotation) is int
+]
+
+
+@pytest.mark.parametrize("command,parameter", _INTEGER_OPTIONS,
+                         ids=[f"{c}-{n}" for c, n in _INTEGER_OPTIONS])
+def test_every_integer_option_accepts_1e3_and_rejects_2_5(command, parameter, tmp_path,
+                                                          monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = {a.dest: a.option_strings[0] for a in _subparsers()[command]._actions}
+    argv = [command, "--out", "out"]
+    for name, param in _signature(command).items():
+        if param.default is param.empty and name not in ("out", parameter):
+            argv += [flags[name], _GIVEN[name]]
+    parsed = vars(build_parser().parse_args([*argv, flags[parameter], "1e3"]))[parameter]
+    assert parsed in (1000, [1000])
+    with pytest.raises(SystemExit) as err:
+        main([*argv, flags[parameter], "2.5"])
+    assert err.value.code == 2
+    assert "not an integer" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 # Integer and float parameters whose annotation declares no domain (an
